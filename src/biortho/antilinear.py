@@ -68,16 +68,29 @@ def commutes_with(op: AntilinearOp, H) -> SymmetryCheck:
 
     Returns ||M·conj(H)·M⁻¹ − H|| / ||H|| (Frobenius) together with the
     condition number of M; raises SingularOperatorError for singular M.
+    A diagonal M = diag(d) costs O(n²): its singular values are |d_i| and
+    the transform is d_i·conj(H_ij)/d_j.
     """
     H = np.asarray(H, dtype=complex)
     M = op.linear_part
-    sigma = np.linalg.svd(M, compute_uv=False)
-    if sigma[-1] <= len(M) * np.finfo(float).eps * sigma[0]:
+    d = np.diagonal(M)
+    diagonal = np.count_nonzero(M) == np.count_nonzero(d)
+    if diagonal:
+        moduli = np.abs(d)
+        sigma_max, sigma_min = float(moduli.max()), float(moduli.min())
+    else:
+        sigma = np.linalg.svd(M, compute_uv=False)
+        sigma_max, sigma_min = float(sigma[0]), float(sigma[-1])
+    if sigma_min <= len(M) * np.finfo(float).eps * sigma_max:
         raise SingularOperatorError(
-            f"linear part is numerically singular (sigma_min={sigma[-1]:.3e})"
+            f"linear part is numerically singular (sigma_min={sigma_min:.3e})"
         )
-    cond = float(sigma[0] / sigma[-1])
-    transformed = op.matrix_action(H)
+    cond = sigma_max / sigma_min
+    if diagonal:
+        Hc = np.conj(H) if op.conjugates else H
+        transformed = d[:, None] * Hc / d[None, :]
+    else:
+        transformed = op.matrix_action(H)
     h_norm = np.linalg.norm(H)
     residual = float(np.linalg.norm(transformed - H) / (h_norm if h_norm else 1.0))
     return SymmetryCheck(residual=residual, condition_number=cond)
@@ -191,7 +204,7 @@ def find_antilinear_symmetry(H, tol: float = 1e-8,
 def build_c_operator(system: BiorthogonalSystem, pt: AntilinearOp,
                      tol: float = 1e-8,
                      tol_real: float = 1e-8) -> np.ndarray:
-    """Spectral C operator: C = Σ_n c_n |R_n><L_pair(n)|.
+    """Spectral C operator: C = Σ_n c_n |R_n><L_n|.
 
     Real eigenvalues take c_n = sign of the (phase-invariant, bilinear) PT
     norm (PT·R_n)ᵀ·R_n. Members of a complex conjugate pair take c = +1 for
@@ -223,8 +236,7 @@ def build_c_operator(system: BiorthogonalSystem, pt: AntilinearOp,
     for i in complex_idx:
         signs[i] = 1.0 if evals[i].imag > 0 else -1.0
 
-    left = system.paired_left_matrix()
-    C = (system.right_vectors * signs) @ left.conj().T
+    C = (system.right_vectors * signs) @ system.left_vectors.conj().T
 
     if complex_idx.size == 0:
         # real-spectrum regime: the involution and commutation promises

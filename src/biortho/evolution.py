@@ -1,10 +1,10 @@
 """Time evolution, overlap traces, and Euclidean reality checks.
 
 Right states evolve with exp(−iHt); left states pick up exp(iHt) on the
-right of the bra, so every pairing overlap <L_pair(i)|R_i> is constant in
-time. Overlap traces are computed both literally (matrix exponential
-products) and from the closed-form phase exp(i(conj(E_j) − E_i)t); the two
-must agree on the numerically safe time range.
+right of the bra, so every paired overlap <L_i|R_i> is constant in time.
+Overlap traces are computed both literally (matrix exponential products)
+and from the closed-form phase exp(i(E_j − E_i)t); the two must agree on
+the numerically safe time range.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from .spectral import BiorthogonalSystem, eigendecompose
 # np.exp overflows just above 709; keep headroom
 MAX_EXPONENT = 700.0
 # the literal product exp(iHt)·exp(−iHt) cancels e^{+gt} against e^{-gt}
-# only to a relative eps·e^{2gt}; past this exponent that noise would
-# exceed the 1e-9 dual-method gate, so the closed form takes over
-LITERAL_EXPONENT_BOUND = 8.0
+# only to a relative eps·e^{2gt}; past gt = 0.5·ln(1e-9/eps) ≈ 7.66 that
+# noise would exceed the 1e-9 dual-method gate, so the closed form takes over
+LITERAL_EXPONENT_BOUND = 0.5 * float(np.log(1e-9 / np.finfo(float).eps))
 # overlap entries below this (relative) level are roundoff seeds of exact
 # zeros; propagating them through a growing closed-form phase would
 # manufacture fake drift
@@ -68,7 +68,7 @@ def propagator(H, t: float, method: str = "auto",
                system: BiorthogonalSystem | None = None) -> np.ndarray:
     """Evolution operator exp(−iHt).
 
-    method "eigen" uses the pairing-normalized spectral sum (requires a
+    method "eigen" uses the biorthonormal spectral sum (requires a
     diagonalizable H), "series" uses scaling-and-squaring, "auto" prefers
     the spectral route and falls back to the series for defective input.
     """
@@ -94,8 +94,7 @@ def propagator(H, t: float, method: str = "auto",
         return expm_series(-1j * t * H)
 
     phases = np.exp(-1j * system.eigenvalues * t)
-    left = system.paired_left_matrix()
-    return (system.right_vectors * phases) @ left.conj().T
+    return (system.right_vectors * phases) @ system.left_vectors.conj().T
 
 
 @dataclass
@@ -123,7 +122,7 @@ def overlap_trace(system: BiorthogonalSystem, times=None,
     """Track every left-right overlap over a time grid.
 
     Each entry is computed two ways: from the closed-form phase
-    G(0)·exp(i(conj(E_j) − E_i)t), which is what gets recorded (it never
+    G(0)·exp(i(E_j − E_i)t), which is what gets recorded (it never
     overflows), and literally as <L_j(0)|exp(iHt)·exp(−iHt)|R_i(0)> with
     series exponentials for the times where that product's cancellation
     noise eps·e^{2gt} stays below the 1e-9 agreement gate.
@@ -141,18 +140,18 @@ def overlap_trace(system: BiorthogonalSystem, times=None,
     L = system.left_vectors
     R = system.right_vectors
     G0 = system.overlap_matrix()
-    # entries this far below the pairing overlaps are noise on exact zeros
+    # entries this far below the paired overlaps are noise on exact zeros
     floor = OVERLAP_NOISE_FLOOR * float(np.max(np.abs(G0)))
     G0 = np.where(np.abs(G0) < floor, 0.0, G0)
 
     rate = float(np.max(np.abs(system.eigenvalues.imag)))
     literal_bound = np.inf if rate == 0.0 else LITERAL_EXPONENT_BOUND / rate
 
-    # closed form: phase[j, i](t) = exp(i(conj(E_j) - E_i) t); zero seeds
-    # stay zero regardless of the phase's growth, and surviving growing
-    # entries are capped at the overflow bound instead of turning inf
-    exponent = 1j * (np.conj(system.left_eigenvalues)[:, None]
-                     - system.eigenvalues[None, :])
+    # closed form: phase[j, i](t) = exp(i(E_j - E_i) t); zero seeds stay
+    # zero regardless of the phase's growth, and surviving growing entries
+    # are capped at the overflow bound instead of turning inf
+    E = system.eigenvalues
+    exponent = 1j * (E[:, None] - E[None, :])
     exponent = np.where(G0 == 0.0, 0.0, exponent)
     overlaps = np.empty((len(times), *G0.shape), dtype=complex)
     agreement = 0.0
@@ -194,9 +193,10 @@ def selection_rule_check(system: BiorthogonalSystem, tol: float = 1e-8,
                          tol_cluster: float = 1e-8) -> SelectionRuleReport:
     """Check that overlaps vanish wherever they must.
 
-    A nonzero <L_j|R_i> is allowed only when Re E_i = Re E_j and
-    Im E_i = −Im E_j (within the clustering tolerance); all other entries
-    are reported as violations when they exceed ``tol``.
+    With E_j the H† label of row j, a nonzero <L_j|R_i> is allowed only
+    when Re E_i = Re E_j and Im E_i = −Im E_j (within the clustering
+    tolerance); all other entries are reported as violations when they
+    exceed ``tol``.
     """
     if not system.is_diagonalizable:
         raise DefectiveSystemError(

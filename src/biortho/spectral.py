@@ -1,15 +1,21 @@
 """Biorthogonal eigendecomposition and spectrum classification.
 
-Right eigenvectors solve H|R_i> = E_i|R_i>. Left vectors are eigenvectors of
-the conjugate transpose, H†|L_j> = E_j|L_j>, and carry their own H†
-eigenvalue as label. The pairing i -> j matches E_j = conj(E_i); under that
-labeling <L_j(t)|R_i(t)> picks up the phase exp(i(conj(E_j) − E_i)t), so a
-pairing overlap is exactly the time-independent scalar product, and
-<L_j|R_i> = 0 whenever conj(E_j) != E_i.
+Right eigenvectors solve H|R_i> = E_i|R_i>; the left vector of the same
+index solves H†|L_i> = conj(E_i)|L_i>, i.e. <L_i|H = E_i<L_i|. Both sides
+come from one LAPACK ``geev`` factorization (scipy.linalg.eig with
+left=True), which back-transforms left and right eigenvectors from the same
+Schur form, so left column i belongs to right column i: the pairing is the
+identity and the H† label of |L_i> is conj(E_i) by construction. Entrywise
+real input runs real ``dgeev``, whose complex eigenvalues and eigenvectors
+come in exact conjugate pairs. Under this labeling <L_j(t)|R_i(t)> picks up
+the phase exp(i(E_j − E_i)t), so each <L_i|R_i> is a time-independent
+scalar product and <L_j|R_i> = 0 whenever E_j != E_i.
 
-The dense solve is delegated to LAPACK's standard pipeline (balancing,
-Hessenberg reduction, implicitly shifted QR, back-transformed eigenvectors)
-via numpy.linalg.eig; pairing, normalization and defect detection live here.
+How far to trust eigenvalue i is its condition number
+κ_i = ||L_i||·||R_i|| / |<L_i|R_i>| (Trefethen & Embree, *Spectra and
+Pseudospectra*, 2005): 1 for a normal matrix, large for a non-normal one,
+infinite at a defective eigenvalue. Normalization, defect detection and the
+biorthogonalization of degenerate clusters live here.
 """
 
 from __future__ import annotations
@@ -17,34 +23,34 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .errors import ConvergenceError
 
 DEFAULT_TOL = 1e-9
 DEFAULT_TOL_REAL = 1e-8
 DEFAULT_TOL_CLUSTER = 1e-8
-# pairing overlaps below this (for unit vectors) mark the index defective
+# an index whose condition number exceeds 1/OVERLAP_FLOOR is defective (for
+# the unit geev vectors: |<L_i|R_i>| below the floor)
 OVERLAP_FLOOR = 1e-10
 
 
-def _sort_key(values, conjugate=False):
-    imag = -values.imag if conjugate else values.imag
-    return np.lexsort((imag, values.real))
+def _sort_key(values):
+    return np.lexsort((values.imag, values.real))
 
 
 @dataclass
 class BiorthogonalSystem:
-    """Paired right/left eigensystem of a square complex matrix."""
+    """Right/left eigensystem of a square complex matrix; column i of
+    ``left_vectors`` belongs to column i of ``right_vectors``."""
 
     matrix: np.ndarray
     eigenvalues: np.ndarray          # E_i, sorted by (Re, Im)
-    right_vectors: np.ndarray        # columns |R_i>, unit norm before scaling
-    left_eigenvalues: np.ndarray     # E_j of H†, sorted so pairing is near-diagonal
-    left_vectors: np.ndarray         # columns |L_j>, scaled so <L_pair(i)|R_i> = 1
-    pairing: np.ndarray              # i -> j with E_j ~ conj(E_i)
-    pairing_residual: float          # max_i |left_eigenvalues[pair(i)] - conj(E_i)|
+    right_vectors: np.ndarray        # columns |R_i>, unit norm
+    left_vectors: np.ndarray         # columns |L_i>, scaled so <L_i|R_i> = 1
+    condition_numbers: np.ndarray    # κ_i of the unit geev vectors (>= 1)
     right_residual: float            # max_i ||H R_i - E_i R_i||
-    left_residual: float             # max_j ||H† L_j - E_j L_j||
+    left_residual: float             # max_i ||H† L_i - conj(E_i) L_i||
     defective_indices: list = field(default_factory=list)
 
     @property
@@ -55,29 +61,31 @@ class BiorthogonalSystem:
     def is_diagonalizable(self) -> bool:
         return not self.defective_indices
 
-    def left_for(self, i: int) -> np.ndarray:
-        """Left vector paired with right index ``i``."""
-        return self.left_vectors[:, self.pairing[i]]
+    @property
+    def left_eigenvalues(self) -> np.ndarray:
+        """H† eigenvalue of each left column: conj(E_i)."""
+        return np.conj(self.eigenvalues)
 
-    def paired_left_matrix(self) -> np.ndarray:
-        """Columns L_pair(0), L_pair(1), ... aligned with the right columns."""
-        return self.left_vectors[:, self.pairing]
+    @property
+    def pairing_residual(self) -> float:
+        """max_i |left_eigenvalues[i] − conj(E_i)|, zero by construction."""
+        return 0.0
 
     def overlap_matrix(self) -> np.ndarray:
         """G with G[j, i] = <L_j|R_i>."""
         return self.left_vectors.conj().T @ self.right_vectors
 
     def reconstruct(self) -> np.ndarray:
-        """Sum_i E_i |R_i><L_pair(i)| (equals H when diagonalizable)."""
-        left = self.paired_left_matrix()
-        return (self.right_vectors * self.eigenvalues) @ left.conj().T
+        """Sum_i E_i |R_i><L_i| (equals H when diagonalizable)."""
+        return (self.right_vectors * self.eigenvalues) @ self.left_vectors.conj().T
 
 
 def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
     """Full biorthogonal decomposition of a square complex matrix.
 
     Raises ConvergenceError if the QR iteration fails or residuals exceed
-    tol·||H||; near-defective pairings are flagged, not fatal.
+    tol·||H||; indices with κ_i > 1/OVERLAP_FLOOR are flagged defective,
+    not fatal.
     """
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -87,75 +95,59 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
     if not np.all(np.isfinite(H)):
         raise ValueError("matrix has non-finite entries")
 
+    # real dgeev for entrywise-real input: conjugate pairs come out exact
+    A = H if np.any(H.imag) else H.real
     try:
-        evals, rvecs = np.linalg.eig(H)
-        levals, lvecs = np.linalg.eig(H.conj().T)
+        evals, lvecs, rvecs = scipy.linalg.eig(A, left=True, right=True,
+                                               check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
 
-    # deterministic order: rights by (Re, Im); lefts by (Re, -Im) so the
-    # conjugate partner of right i usually sits near left i
-    r_order = _sort_key(evals)
-    l_order = _sort_key(levals, conjugate=True)
-    evals, rvecs = evals[r_order], rvecs[:, r_order]
-    levals, lvecs = levals[l_order], lvecs[:, l_order]
+    order = _sort_key(evals)
+    evals, lvecs, rvecs = evals[order], lvecs[:, order], rvecs[:, order]
 
-    n = H.shape[0]
-    # greedy conjugate matching; positional order is only a heuristic since
-    # the two LAPACK runs carry independent rounding noise
-    cost = np.abs(levals[None, :] - np.conj(evals)[:, None])
-    pairing = np.full(n, -1, dtype=int)
-    used = np.zeros(n, dtype=bool)
-    for i in range(n):
-        row = np.where(used, np.inf, cost[i])
-        j = int(np.argmin(row))
-        pairing[i] = j
-        used[j] = True
-    pairing_residual = float(np.max(cost[np.arange(n), pairing])) if n else 0.0
-
-    scale = max(np.linalg.norm(H, 2), 1.0)
-    right_res = float(np.max(np.linalg.norm(H @ rvecs - rvecs * evals, axis=0)))
-    left_res = float(np.max(np.linalg.norm(H.conj().T @ lvecs - lvecs * levals, axis=0)))
+    scale = max(np.linalg.norm(A, 2), 1.0)
+    right_res = float(np.max(np.linalg.norm(A @ rvecs - rvecs * evals, axis=0)))
+    left_res = float(np.max(np.linalg.norm(
+        A.conj().T @ lvecs - lvecs * np.conj(evals), axis=0)))
     if max(right_res, left_res) > tol * scale:
         raise ConvergenceError(
             f"eigenvector residual {max(right_res, left_res):.3e} exceeds "
             f"{tol:.1e}·||H||",
-            partial=(evals, rvecs, levals, lvecs),
+            partial=(evals, rvecs, np.conj(evals), lvecs),
         )
 
-    defective = []
-    for i in range(n):
-        j = pairing[i]
-        overlap = np.vdot(lvecs[:, j], rvecs[:, i])
-        if abs(overlap) < OVERLAP_FLOOR:
-            defective.append(i)
-        else:
-            lvecs[:, j] /= np.conj(overlap)
+    overlaps = np.einsum("ki,ki->i", lvecs.conj(), rvecs)
+    norms = np.linalg.norm(lvecs, axis=0) * np.linalg.norm(rvecs, axis=0)
+    with np.errstate(divide="ignore"):
+        kappa = norms / np.abs(overlaps)
+    flagged = kappa > 1.0 / OVERLAP_FLOOR
+    defective = np.flatnonzero(flagged).tolist()
+    lvecs[:, ~flagged] /= np.conj(overlaps[~flagged])
 
     if not defective:
-        _rebiorthogonalize_clusters(evals, rvecs, lvecs, pairing, defective)
+        _rebiorthogonalize_clusters(evals, rvecs, lvecs, defective)
 
     return BiorthogonalSystem(
         matrix=H,
         eigenvalues=evals,
         right_vectors=rvecs,
-        left_eigenvalues=levals,
         left_vectors=lvecs,
-        pairing=pairing,
-        pairing_residual=pairing_residual,
+        condition_numbers=kappa,
         right_residual=right_res,
         left_residual=left_res,
         defective_indices=defective,
     )
 
 
-def _rebiorthogonalize_clusters(evals, rvecs, lvecs, pairing, defective,
+def _rebiorthogonalize_clusters(evals, rvecs, lvecs, defective,
                                 ctol: float = 1e-8):
     """Fix cross-overlaps inside (near-)degenerate eigenvalue clusters.
 
-    Within a cluster of equal eigenvalues the two LAPACK runs may return
-    bases that are not mutually biorthogonal; solving the small overlap
-    system restores <L_pair(j)|R_i> = delta_ij there.
+    geev back-transforms each left and right eigenvector on its own, so
+    inside a cluster of equal eigenvalues the two bases it returns need not
+    be mutually biorthogonal; solving the small overlap system restores
+    <L_j|R_i> = delta_ij there.
     """
     n = len(evals)
     scale = max(np.max(np.abs(evals)), 1.0)
@@ -165,14 +157,13 @@ def _rebiorthogonalize_clusters(evals, rvecs, lvecs, pairing, defective,
         while stop < n and abs(evals[stop] - evals[stop - 1]) < ctol * scale:
             stop += 1
         if stop - start > 1:
-            idx = np.arange(start, stop)
-            left_idx = pairing[idx]
-            O = lvecs[:, left_idx].conj().T @ rvecs[:, idx]
+            block = slice(start, stop)
+            O = lvecs[:, block].conj().T @ rvecs[:, block]
             # guard: only adjust well-conditioned clusters
             if np.linalg.cond(O) < 1e8:
-                lvecs[:, left_idx] = lvecs[:, left_idx] @ np.linalg.inv(O).conj().T
+                lvecs[:, block] = lvecs[:, block] @ np.linalg.inv(O).conj().T
             else:
-                defective.extend(int(k) for k in idx)
+                defective.extend(range(start, stop))
         start = stop
 
 

@@ -81,8 +81,24 @@ def test_conjugation_fails_for_unpaired_complex_diagonal():
 
 
 def test_singular_linear_part_rejected():
-    with pytest.raises(SingularOperatorError):
-        commutes_with(AntilinearOp(np.zeros((2, 2))), np.eye(2))
+    # zero and diag(1, 1e-20) take the diagonal path, ones((2, 2)) the SVD
+    for M in (np.zeros((2, 2)), np.diag([1.0, 1e-20]), np.ones((2, 2))):
+        with pytest.raises(SingularOperatorError):
+            commutes_with(AntilinearOp(M), np.eye(2))
+
+
+def test_diagonal_linear_part_matches_explicit_residual():
+    rng = np.random.default_rng(31)
+    n = 12
+    d = rng.uniform(0.3, 4.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    D = np.diag(d)
+    H = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    for conjugates in (True, False):
+        check = commutes_with(AntilinearOp(D, conjugates=conjugates), H)
+        Hc = np.conj(H) if conjugates else H
+        explicit = np.linalg.norm(D @ Hc @ np.linalg.inv(D) - H) / np.linalg.norm(H)
+        assert abs(check.residual - explicit) < 1e-12
+        assert abs(check.condition_number - np.linalg.cond(D)) < 1e-12
 
 
 def test_is_real_reports():

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from biortho.models import dimer_hamiltonian, pu_spectrum_formula, PUParams
+from biortho.fock import Realization
+from biortho.models import (
+    PUParams,
+    cubic_hamiltonian,
+    dimer_hamiltonian,
+    pu_spectrum_formula,
+)
 from biortho.spectral import (
     classify_spectrum,
     defect_report,
@@ -40,11 +46,15 @@ def test_nilpotent_dimer_flagged_defective():
 
 
 def test_pairing_matches_conjugates():
-    system = eigendecompose(dimer_hamiltonian(1.0, 0.5))
+    H = dimer_hamiltonian(1.0, 0.5)
+    system = eigendecompose(H)
     for i in range(2):
         ei = system.eigenvalues[i]
-        ej = system.left_eigenvalues[system.pairing[i]]
+        ej = system.left_eigenvalues[i]
         assert abs(ej - np.conj(ei)) < 1e-12
+        left = system.left_vectors[:, i]
+        lhs = H.conj().T @ left
+        assert np.linalg.norm(lhs - ej * left) < 1e-12 * np.linalg.norm(left)
     assert system.pairing_residual < 1e-12
 
 
@@ -53,7 +63,7 @@ def test_normalization_and_residuals():
     H = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
     system = eigendecompose(H)
     G = system.overlap_matrix()
-    paired = G[system.pairing, np.arange(12)]
+    paired = np.diag(G)
     assert np.allclose(paired, 1.0, atol=1e-10)
     assert system.right_residual < 1e-9 * np.linalg.norm(H, 2)
     assert system.left_residual < 1e-9 * np.linalg.norm(H, 2)
@@ -83,6 +93,59 @@ def test_real_matrix_spectrum_conjugation_closed():
         evals = np.linalg.eigvals(H)
         buckets = classify_spectrum(evals, tol_real=1e-8, tol_cluster=1e-8)
         assert not buckets.leftovers
+
+
+def test_real_input_spectrum_exactly_conjugation_closed():
+    # entrywise real: every complex eigenvalue must find its exact partner
+    system = eigendecompose(cubic_hamiltonian(200, Realization.POSITION_IMAGINARY))
+    assert classify_spectrum(system.eigenvalues).leftovers == []
+    assert system.pairing_residual == 0.0
+    rng = np.random.default_rng(29)
+    for n in (7, 30, 64):
+        evals = eigendecompose(rng.standard_normal((n, n))).eigenvalues
+        assert np.array_equal(np.sort_complex(evals), np.sort_complex(np.conj(evals)))
+
+
+def _degenerate_nonnormal(kind):
+    rng = np.random.default_rng(37)
+    if kind == "kron":
+        A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        return np.kron(np.eye(2), A)
+    S = rng.standard_normal((6, 6))
+    if kind == "complex":
+        S = S + 1j * rng.standard_normal((6, 6))
+    return S @ np.diag([1.0, 1.0, 1.0, 2.0, 2.0, 3.0]) @ np.linalg.inv(S)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "kron"])
+def test_repeated_eigenvalues_nonnormal_biorthonormal(kind):
+    H = _degenerate_nonnormal(kind)
+    assert np.linalg.norm(H @ H.conj().T - H.conj().T @ H) > 1e-3  # non-normal
+    system = eigendecompose(H)
+    assert system.is_diagonalizable
+    n = H.shape[0]
+    assert np.max(np.abs(system.overlap_matrix() - np.eye(n))) < 1e-10
+    assert np.linalg.norm(system.reconstruct() - H) < 1e-10 * np.linalg.norm(H)
+
+
+def test_condition_numbers():
+    rng = np.random.default_rng(41)
+    X = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
+    hermitian = eigendecompose(X + X.conj().T).condition_numbers
+    assert np.max(np.abs(hermitian - 1.0)) < 1e-12
+    suite = [
+        X,
+        dimer_hamiltonian(1.0, 0.5),
+        dimer_hamiltonian(1.0, 1.0),
+        cubic_hamiltonian(200, Realization.POSITION_IMAGINARY),
+    ]
+    for H in suite:
+        system = eigendecompose(H)
+        kappa = system.condition_numbers
+        # Cauchy-Schwarz; the slack is rounding in the norms and overlaps
+        assert np.all(kappa >= 1.0 - 1e-12)
+        assert system.defective_indices == np.flatnonzero(kappa > 1e10).tolist()
+    assert eigendecompose(dimer_hamiltonian(1.0, 1.0)).defective_indices == [0, 1]
 
 
 def test_eigendecompose_input_validation():
