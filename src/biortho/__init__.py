@@ -47,14 +47,11 @@ from .evolution import (
 from .fock import (
     MultiModeOperator,
     Realization,
-    TruncatedMode,
     commutator,
     embed,
     ladder,
-    number_operator,
     parity,
     position_momentum,
-    truncated_mode,
     truncation_block,
 )
 from .models import (

@@ -13,12 +13,13 @@ import numpy as np
 
 from .errors import (
     ConditioningError,
+    ConvergenceError,
     DefectiveSystemError,
     NoAntilinearSymmetryError,
     SignAmbiguityError,
     SingularOperatorError,
 )
-from .spectral import BiorthogonalSystem, classify_spectrum
+from .spectral import BiorthogonalSystem, classify_spectrum, eigendecompose
 
 SYMMETRY_TOL = 1e-10
 PT_NORM_FLOOR = 1e-10
@@ -68,27 +69,33 @@ def commutes_with(op: AntilinearOp, H) -> SymmetryCheck:
 
     Returns ||M·conj(H)·M⁻¹ − H|| / ||H|| (Frobenius) together with the
     condition number of M; raises SingularOperatorError for singular M.
-    A diagonal M = diag(d) costs O(n²): its singular values are |d_i| and
-    the transform is d_i·conj(H_ij)/d_j.
+    A monomial M (one nonzero per row and column, M[i, σ(i)] = m_i; diagonal
+    and permutation matrices included) costs O(n²): its singular values are
+    |m_i| and the transform is m_i·conj(H)[σ(i), σ(j)]/m_j.
     """
     H = np.asarray(H, dtype=complex)
     M = op.linear_part
-    d = np.diagonal(M)
-    diagonal = np.count_nonzero(M) == np.count_nonzero(d)
-    if diagonal:
-        moduli = np.abs(d)
+    n = len(M)
+    monomial = np.count_nonzero(M) == n
+    if monomial:
+        rows, cols = np.nonzero(M)
+        monomial = (np.array_equal(rows, np.arange(n))
+                    and np.array_equal(np.sort(cols), np.arange(n)))
+    if monomial:
+        m = M[rows, cols]
+        moduli = np.abs(m)
         sigma_max, sigma_min = float(moduli.max()), float(moduli.min())
     else:
         sigma = np.linalg.svd(M, compute_uv=False)
         sigma_max, sigma_min = float(sigma[0]), float(sigma[-1])
-    if sigma_min <= len(M) * np.finfo(float).eps * sigma_max:
+    if sigma_min <= n * np.finfo(float).eps * sigma_max:
         raise SingularOperatorError(
             f"linear part is numerically singular (sigma_min={sigma_min:.3e})"
         )
     cond = sigma_max / sigma_min
-    if diagonal:
+    if monomial:
         Hc = np.conj(H) if op.conjugates else H
-        transformed = d[:, None] * Hc / d[None, :]
+        transformed = m[:, None] * Hc[np.ix_(cols, cols)] / m[None, :]
     else:
         transformed = op.matrix_action(H)
     h_norm = np.linalg.norm(H)
@@ -134,11 +141,25 @@ def find_antilinear_symmetry(H, tol: float = 1e-8,
     """Construct an antilinear symmetry A = M∘K of H, if one exists.
 
     Requires the spectrum to be closed under conjugation within ``tol``
-    (otherwise NoAntilinearSymmetryError). M solves M·conj(H) = H·M and is
-    picked from the nullspace of X -> H·X − X·conj(H) by a deterministic
-    scan that maximizes the smallest singular value of M; a seeded random
-    fallback keeps the scan reproducible. If H is entrywise real the
-    identity is returned directly.
+    (otherwise NoAntilinearSymmetryError). If H is entrywise real the
+    identity is returned directly. Otherwise M is written down from the
+    biorthogonal eigensystem H = R·E·L† (Bender & Mannheim, Phys. Lett. A
+    374, 1616 (2010)): M = R[:, π]·diag(c)·Lᵀ, where π swaps the two members
+    of each conjugate pair and fixes real eigenvalues, so M·conj(R_i) =
+    c_i·R_π(i) and M·conj(H) = H·M for every nonzero c. The phases c_i are
+    those of the leading eigenvector of W = G ∘ G[π][:, π] with G = R†R:
+    if H has an antiunitary symmetry and a simple spectrum, and no set of
+    eigenvectors is orthogonal to all the others, they make M unitary (c = 1
+    can leave M nearly singular). This costs O(n³).
+
+    Either route must pass two gates: σ_min(M/‖M‖_F) ≥ 1e-8 and
+    ``commutes_with`` residual ≤ ``tol``. When the eigensystem is defective
+    or fails its residual check, or the spectral M fails a gate (for
+    example a Jordan block in a complex basis, or eigenvectors too
+    non-normal to reach ``tol``), M is instead picked from the nullspace of
+    X -> H·X − X·conj(H), an O(n⁶) SVD, by a deterministic scan that
+    maximizes the smallest singular value, plus ``n_random_candidates``
+    seeded random combinations. ConditioningError if that fails too.
     """
     H = np.asarray(H, dtype=complex)
     n = H.shape[0]
@@ -146,7 +167,13 @@ def find_antilinear_symmetry(H, tol: float = 1e-8,
     if is_real(H, tol=1e-14).is_real:
         return identity_op(n)
 
-    evals = np.linalg.eigvals(H)
+    try:
+        system = eigendecompose(H)
+        evals = system.eigenvalues
+    except ConvergenceError as exc:
+        if exc.partial is None:
+            raise
+        system, evals = None, exc.partial[0]
     scale = max(np.max(np.abs(evals)), 1.0)
     buckets = classify_spectrum(evals, tol_real=tol * scale, tol_cluster=tol * scale)
     if buckets.leftovers:
@@ -155,6 +182,34 @@ def find_antilinear_symmetry(H, tol: float = 1e-8,
             f"unpaired eigenvalues {buckets.leftovers}"
         )
 
+    if system is not None and system.is_diagonalizable:
+        try:
+            return _verified_intertwiner(
+                _spectral_intertwiner(system, buckets.pair_indices), H, tol)
+        except ConditioningError:
+            pass
+    return _verified_intertwiner(
+        _nullspace_intertwiner(H, n_random_candidates), H, tol)
+
+
+def _spectral_intertwiner(system: BiorthogonalSystem, pair_indices) -> np.ndarray:
+    """M = R[:, π]·diag(c)·Lᵀ for a diagonalizable system (see
+    ``find_antilinear_symmetry``)."""
+    R, L = system.right_vectors, system.left_vectors
+    perm = np.arange(system.dimension)
+    for a, b in pair_indices:
+        perm[a], perm[b] = b, a
+    G = R.conj().T @ R
+    W = G * G[np.ix_(perm, perm)]
+    lead = np.linalg.eigh(W)[1][:, -1]
+    c = np.exp(1j * np.angle(lead))
+    return (R[:, perm] * c) @ L.T
+
+
+def _nullspace_intertwiner(H: np.ndarray, n_random_candidates: int) -> np.ndarray:
+    """Best-conditioned element of the nullspace of X -> H·X − X·conj(H),
+    normalized to ‖M‖_F = 1."""
+    n = H.shape[0]
     # vec (column-major): vec(H X) = (I ⊗ H) vec(X), vec(X B) = (Bᵀ ⊗ I) vec(X)
     eye = np.eye(n, dtype=complex)
     A = np.kron(eye, H) - np.kron(np.conj(H).T, eye)
@@ -185,14 +240,21 @@ def find_antilinear_symmetry(H, tol: float = 1e-8,
         sigma_min = float(np.linalg.svd(cand, compute_uv=False)[-1])
         if sigma_min > best_sigma_min:
             best, best_sigma_min = cand, sigma_min
+    if best is None:
+        raise ConditioningError("every intertwiner candidate is zero")
+    return best
 
-    if best is None or best_sigma_min < 1e-8:
+
+def _verified_intertwiner(M: np.ndarray, H: np.ndarray, tol: float) -> AntilinearOp:
+    """AntilinearOp(M) if M is well conditioned and intertwines H within
+    ``tol``; ConditioningError otherwise."""
+    sigma_min = float(np.linalg.svd(M / np.linalg.norm(M), compute_uv=False)[-1])
+    if sigma_min < 1e-8:
         raise ConditioningError(
             "no well-conditioned invertible intertwiner found "
-            f"(best sigma_min = {best_sigma_min:.3e})"
+            f"(best sigma_min = {sigma_min:.3e})"
         )
-
-    op = AntilinearOp(best)
+    op = AntilinearOp(M)
     check = commutes_with(op, H)
     if check.residual > tol:
         raise ConditioningError(

@@ -32,18 +32,6 @@ class Realization(Enum):
 
 
 @dataclass(frozen=True)
-class TruncatedMode:
-    """One bosonic mode truncated at ``dimension`` number states."""
-
-    dimension: int
-    lowering: np.ndarray
-    raising: np.ndarray
-    position: np.ndarray
-    momentum: np.ndarray
-    realization: Realization
-
-
-@dataclass(frozen=True)
 class MultiModeOperator:
     """Dense operator on a tensor product of truncated modes.
 
@@ -95,29 +83,12 @@ def position_momentum(n: int, realization: Realization = Realization.POSITION_RE
     return _freeze(x), _freeze(p)
 
 
-def truncated_mode(n: int, realization: Realization = Realization.POSITION_REAL) -> TruncatedMode:
-    """Bundle ladder and position/momentum matrices for one mode."""
-    lo, hi = ladder(n)
-    x, p = position_momentum(n, realization)
-    return TruncatedMode(
-        dimension=n, lowering=lo, raising=hi, position=x, momentum=p,
-        realization=realization,
-    )
-
-
 def parity(n: int) -> np.ndarray:
     """Diagonal parity matrix diag((−1)^k), k = 0..n−1."""
     if n < 1:
         raise InvalidCutoffError(f"cutoff must be >= 1, got {n}")
     signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     return _freeze(np.diag(signs))
-
-
-def number_operator(n: int) -> np.ndarray:
-    """Diagonal number operator diag(0, 1, ..., n−1)."""
-    if n < 1:
-        raise InvalidCutoffError(f"cutoff must be >= 1, got {n}")
-    return _freeze(np.diag(np.arange(n, dtype=float)))
 
 
 def embed(op: np.ndarray, mode_index: int, mode_dims, labels=None) -> MultiModeOperator:

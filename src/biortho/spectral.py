@@ -122,11 +122,9 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
     with np.errstate(divide="ignore"):
         kappa = norms / np.abs(overlaps)
     flagged = kappa > 1.0 / OVERLAP_FLOOR
-    defective = np.flatnonzero(flagged).tolist()
     lvecs[:, ~flagged] /= np.conj(overlaps[~flagged])
-
-    if not defective:
-        _rebiorthogonalize_clusters(evals, rvecs, lvecs, defective)
+    ill_clusters = _rebiorthogonalize_clusters(evals, rvecs, lvecs, flagged)
+    defective = sorted(np.flatnonzero(flagged).tolist() + ill_clusters)
 
     return BiorthogonalSystem(
         matrix=H,
@@ -140,15 +138,18 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
     )
 
 
-def _rebiorthogonalize_clusters(evals, rvecs, lvecs, defective,
-                                ctol: float = 1e-8):
+def _rebiorthogonalize_clusters(evals, rvecs, lvecs, flagged,
+                                ctol: float = 1e-8) -> list:
     """Fix cross-overlaps inside (near-)degenerate eigenvalue clusters.
 
     geev back-transforms each left and right eigenvector on its own, so
     inside a cluster of equal eigenvalues the two bases it returns need not
     be mutually biorthogonal; solving the small overlap system restores
-    <L_j|R_i> = delta_ij there.
+    <L_j|R_i> = delta_ij there. Clusters holding a ``flagged`` (defective)
+    index are left alone; the indices of clusters whose overlap system is
+    too ill-conditioned to solve are returned.
     """
+    ill = []
     n = len(evals)
     scale = max(np.max(np.abs(evals)), 1.0)
     start = 0
@@ -156,15 +157,16 @@ def _rebiorthogonalize_clusters(evals, rvecs, lvecs, defective,
         stop = start + 1
         while stop < n and abs(evals[stop] - evals[stop - 1]) < ctol * scale:
             stop += 1
-        if stop - start > 1:
-            block = slice(start, stop)
+        block = slice(start, stop)
+        if stop - start > 1 and not flagged[block].any():
             O = lvecs[:, block].conj().T @ rvecs[:, block]
             # guard: only adjust well-conditioned clusters
             if np.linalg.cond(O) < 1e8:
                 lvecs[:, block] = lvecs[:, block] @ np.linalg.inv(O).conj().T
             else:
-                defective.extend(range(start, stop))
+                ill.extend(range(start, stop))
         start = stop
+    return ill
 
 
 @dataclass
@@ -174,6 +176,7 @@ class SpectrumClassification:
 
     real_singles: list
     conjugate_pairs: list            # (E, conj-partner), Im > 0 first
+    pair_indices: list               # input positions of conjugate_pairs
     leftovers: list                  # unpaired complex beyond tol_cluster
     defective_clusters: list         # (eigenvalue, alg. mult., geom. mult.)
     tol_real: float
@@ -197,6 +200,8 @@ def classify_spectrum(eigenvalues, tol_real: float = DEFAULT_TOL_REAL,
     Pairs are matched greedily by minimal |E - conj(E')|; an unpaired
     complex eigenvalue beyond tol_cluster lands in ``leftovers``, which
     signals a conjugation-asymmetric spectrum (or too tight a tolerance).
+    ``pair_indices[k]`` holds the positions in ``eigenvalues`` of the two
+    members of ``conjugate_pairs[k]``, in the same order.
     """
     evs = np.asarray(eigenvalues, dtype=complex).ravel()
     if not np.all(np.isfinite(evs)):
@@ -208,6 +213,7 @@ def classify_spectrum(eigenvalues, tol_real: float = DEFAULT_TOL_REAL,
     real_singles = sorted(evs[real_mask].real.tolist())
 
     complex_evs = evs[~real_mask]
+    complex_pos = order[~real_mask]
     pairs = []
     leftovers = []
     k = len(complex_evs)
@@ -222,19 +228,21 @@ def classify_spectrum(eigenvalues, tol_real: float = DEFAULT_TOL_REAL,
             a, b = np.unravel_index(np.argmin(dist), dist.shape)
             if dist[a, b] >= tol_cluster:
                 break
-            ea, eb = complex(complex_evs[a]), complex(complex_evs[b])
-            plus, minus = (ea, eb) if ea.imag >= eb.imag else (eb, ea)
-            pairs.append((plus, minus))
+            if complex_evs[a].imag < complex_evs[b].imag:
+                a, b = b, a
+            pairs.append(((complex(complex_evs[a]), complex(complex_evs[b])),
+                          (int(complex_pos[a]), int(complex_pos[b]))))
             for idx in (a, b):
                 alive[idx] = False
                 dist[idx, :] = np.inf
                 dist[:, idx] = np.inf
         leftovers.extend(complex(e) for e in complex_evs[alive])
-    pairs.sort(key=lambda p: (p[0].real, p[0].imag))
+    pairs.sort(key=lambda p: (p[0][0].real, p[0][0].imag))
 
     return SpectrumClassification(
         real_singles=real_singles,
-        conjugate_pairs=pairs,
+        conjugate_pairs=[values for values, _ in pairs],
+        pair_indices=[positions for _, positions in pairs],
         leftovers=sorted(leftovers, key=lambda e: (e.real, e.imag)),
         defective_clusters=list(defective_clusters or []),
         tol_real=tol_real,

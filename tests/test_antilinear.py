@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biortho import antilinear
 from biortho.antilinear import (
     AntilinearOp,
     anticommutator_with,
@@ -26,7 +27,7 @@ from biortho.models import (
     harmonic_hamiltonian,
     pt_operator,
 )
-from biortho.spectral import eigendecompose
+from biortho.spectral import classify_spectrum, eigendecompose
 
 complex_scalars = st.complex_numbers(
     min_magnitude=0.0, max_magnitude=10.0, allow_nan=False, allow_infinity=False
@@ -81,7 +82,7 @@ def test_conjugation_fails_for_unpaired_complex_diagonal():
 
 
 def test_singular_linear_part_rejected():
-    # zero and diag(1, 1e-20) take the diagonal path, ones((2, 2)) the SVD
+    # diag(1, 1e-20) takes the monomial path, zero and ones((2, 2)) the SVD
     for M in (np.zeros((2, 2)), np.diag([1.0, 1e-20]), np.ones((2, 2))):
         with pytest.raises(SingularOperatorError):
             commutes_with(AntilinearOp(M), np.eye(2))
@@ -99,6 +100,24 @@ def test_diagonal_linear_part_matches_explicit_residual():
         explicit = np.linalg.norm(D @ Hc @ np.linalg.inv(D) - H) / np.linalg.norm(H)
         assert abs(check.residual - explicit) < 1e-12
         assert abs(check.condition_number - np.linalg.cond(D)) < 1e-12
+
+
+def test_monomial_linear_part_matches_explicit_residual():
+    # M[i, σ(i)] = m_i: a random complex monomial and the dimer swap
+    rng = np.random.default_rng(32)
+    n = 12
+    P = np.eye(n)[rng.permutation(n)]
+    m = rng.uniform(0.3, 4.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    H = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    cases = [(m[:, None] * P, H),
+             (dimer_pt_operator().linear_part, dimer_hamiltonian(0.5, 1.0))]
+    for M, H in cases:
+        for conjugates in (True, False):
+            check = commutes_with(AntilinearOp(M, conjugates=conjugates), H)
+            Hc = np.conj(H) if conjugates else H
+            explicit = np.linalg.norm(M @ Hc @ np.linalg.inv(M) - H) / np.linalg.norm(H)
+            assert abs(check.residual - explicit) < 1e-12
+            assert abs(check.condition_number - np.linalg.cond(M)) < 1e-12
 
 
 def test_is_real_reports():
@@ -142,6 +161,66 @@ def test_find_symmetry_generic_complex_basis():
 def test_find_symmetry_rejects_asymmetric_spectrum():
     with pytest.raises(NoAntilinearSymmetryError):
         find_antilinear_symmetry(np.diag([1 + 1j, 5.0]))
+
+
+def _gauged_cubic(n, rng):
+    # D·H·D⁻¹ of the position-real cubic for random diagonal phases D
+    d = np.exp(2j * np.pi * rng.uniform(size=n))
+    H = cubic_hamiltonian(n, Realization.POSITION_REAL)
+    return d[:, None] * H * np.conj(d)[None, :]
+
+
+def _nullspace_forbidden(*args, **kwargs):
+    raise AssertionError("nullspace fallback ran")
+
+
+def test_find_symmetry_spectral_route_gauged_cubic(monkeypatch):
+    monkeypatch.setattr(antilinear, "_nullspace_intertwiner", _nullspace_forbidden)
+    rng = np.random.default_rng(12)
+    for n in (8, 12, 16, 20, 24, 28, 32, 36):
+        H = _gauged_cubic(n, rng)
+        op = find_antilinear_symmetry(H)
+        assert commutes_with(op, H).residual < 1e-9
+        assert np.linalg.cond(op.linear_part) < 10
+
+
+def test_find_symmetry_jordan_and_degenerate_complex_inputs(monkeypatch):
+    fallbacks = []
+    nullspace = antilinear._nullspace_intertwiner
+
+    def spy(H, *args):
+        fallbacks.append(H.shape[0])
+        return nullspace(H, *args)
+
+    monkeypatch.setattr(antilinear, "_nullspace_intertwiner", spy)
+    rng = np.random.default_rng(13)
+    Q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    # not flagged defective (κ ≈ 1e7), yet the spectral M misses the
+    # equation, so the nullspace route must serve it
+    jordan = Q @ np.array([[1.0, 1.0], [0.0, 1.0]]) @ Q.conj().T
+    S = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    similar = S @ np.diag([1, 1, 1, 2 + 1j, 2 - 1j, 3]) @ np.linalg.inv(S)
+    for H in (jordan, similar):
+        op = find_antilinear_symmetry(H)
+        assert commutes_with(op, H).residual < 1e-8
+    assert fallbacks == [2]
+
+
+def test_spectral_and_nullspace_intertwiners_agree_on_equation():
+    # the nullspace route is the reference: both must solve M·conj(H) = H·M
+    rng = np.random.default_rng(14)
+    for n in (2, 3, 5, 6):
+        S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        H = S @ rng.standard_normal((n, n)) @ np.linalg.inv(S)
+        system = eigendecompose(H)
+        scale = max(np.max(np.abs(system.eigenvalues)), 1.0)
+        pairs = classify_spectrum(system.eigenvalues, tol_real=1e-8 * scale,
+                                  tol_cluster=1e-8 * scale).pair_indices
+        for M in (antilinear._spectral_intertwiner(system, pairs),
+                  antilinear._nullspace_intertwiner(H, 64)):
+            assert np.linalg.svd(M / np.linalg.norm(M), compute_uv=False)[-1] > 1e-8
+            gap = np.linalg.norm(M @ np.conj(H) - H @ M)
+            assert gap < 1e-10 * np.linalg.norm(M) * np.linalg.norm(H)
 
 
 def test_eigenvector_dichotomy_under_antilinear_symmetry():

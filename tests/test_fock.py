@@ -9,10 +9,8 @@ from biortho.fock import (
     commutator,
     embed,
     ladder,
-    number_operator,
     parity,
     position_momentum,
-    truncated_mode,
     truncation_block,
 )
 
@@ -57,6 +55,8 @@ def test_position_imaginary_two_by_two():
     assert x[1, 0] == -1j / SQRT2
     assert np.all(x.real == 0)
     assert np.array_equal(x, -x.T)
+    with pytest.raises(ValueError):
+        x[0, 0] = 1.0  # frozen buffers
 
 
 @pytest.mark.parametrize("realization", list(Realization))
@@ -94,7 +94,7 @@ def test_parity_diagonal():
 def test_number_operator_is_raising_times_lowering():
     # a†a is diagonal (0..N-1) on the whole matrix, corner included
     lo, hi = ladder(5)
-    assert np.max(np.abs(hi @ lo - number_operator(5))) < 1e-14
+    assert np.max(np.abs(hi @ lo - np.diag(np.arange(5.0)))) < 1e-14
 
 
 def test_parity_involution_and_anticommutation():
@@ -104,16 +104,6 @@ def test_parity_involution_and_anticommutation():
     # x and p only connect adjacent occupation numbers, so this is exact
     assert np.max(np.abs(P @ x @ P + x)) == 0.0
     assert np.max(np.abs(P @ p @ P + p)) == 0.0
-
-
-def test_truncated_mode_bundles_consistently():
-    mode = truncated_mode(6, Realization.POSITION_IMAGINARY)
-    x, p = position_momentum(6, Realization.POSITION_IMAGINARY)
-    assert np.array_equal(mode.position, x)
-    assert np.array_equal(mode.momentum, p)
-    assert mode.dimension == 6
-    with pytest.raises(ValueError):
-        mode.position[0, 0] = 1.0  # frozen buffers
 
 
 def test_embed_diagonal_examples():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from biortho.fock import Realization
 from biortho.models import (
@@ -128,6 +129,15 @@ def test_repeated_eigenvalues_nonnormal_biorthonormal(kind):
     assert np.linalg.norm(system.reconstruct() - H) < 1e-10 * np.linalg.norm(H)
 
 
+def test_clean_cluster_biorthonormal_beside_defective_block():
+    # a Jordan block elsewhere must not stop the semisimple cluster fix
+    H = scipy.linalg.block_diag([[0.0, 1.0], [0.0, 0.0]], _degenerate_nonnormal("real"))
+    system = eigendecompose(H)
+    assert system.defective_indices == [0, 1]
+    G = system.overlap_matrix()
+    assert np.max(np.abs(G[2:, 2:] - np.eye(6))) < 1e-10
+
+
 def test_condition_numbers():
     rng = np.random.default_rng(41)
     X = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
@@ -192,6 +202,7 @@ def test_classify_pair_plus_single():
     buckets = classify_spectrum([1 + 0.5j, 1 - 0.5j, 3.0])
     assert buckets.real_singles == [3.0]
     assert buckets.conjugate_pairs == [(1 + 0.5j, 1 - 0.5j)]
+    assert buckets.pair_indices == [(0, 1)]
     assert buckets.count == 3
 
 
@@ -217,6 +228,8 @@ def test_classify_every_eigenvalue_bucketed_once():
     evals = np.concatenate([evals, np.conj(evals), rng.standard_normal(4)])
     buckets = classify_spectrum(evals, tol_real=1e-12, tol_cluster=1e-12)
     assert buckets.count == len(evals)
+    for pair, (a, b) in zip(buckets.conjugate_pairs, buckets.pair_indices):
+        assert pair == (evals[a], evals[b])
 
 
 def test_defect_report_nilpotent():
