@@ -69,33 +69,27 @@ def commutes_with(op: AntilinearOp, H) -> SymmetryCheck:
 
     Returns ||M·conj(H)·M⁻¹ − H|| / ||H|| (Frobenius) together with the
     condition number of M; raises SingularOperatorError for singular M.
-    A monomial M (one nonzero per row and column, M[i, σ(i)] = m_i; diagonal
-    and permutation matrices included) costs O(n²): its singular values are
-    |m_i| and the transform is m_i·conj(H)[σ(i), σ(j)]/m_j.
+    A diagonal M = diag(d) costs O(n²): its singular values are |d_i| and
+    the transform is d_i·conj(H_ij)/d_j.
     """
     H = np.asarray(H, dtype=complex)
     M = op.linear_part
-    n = len(M)
-    monomial = np.count_nonzero(M) == n
-    if monomial:
-        rows, cols = np.nonzero(M)
-        monomial = (np.array_equal(rows, np.arange(n))
-                    and np.array_equal(np.sort(cols), np.arange(n)))
-    if monomial:
-        m = M[rows, cols]
-        moduli = np.abs(m)
+    d = np.diagonal(M)
+    diagonal = np.count_nonzero(M) == np.count_nonzero(d)
+    if diagonal:
+        moduli = np.abs(d)
         sigma_max, sigma_min = float(moduli.max()), float(moduli.min())
     else:
         sigma = np.linalg.svd(M, compute_uv=False)
         sigma_max, sigma_min = float(sigma[0]), float(sigma[-1])
-    if sigma_min <= n * np.finfo(float).eps * sigma_max:
+    if sigma_min <= len(M) * np.finfo(float).eps * sigma_max:
         raise SingularOperatorError(
             f"linear part is numerically singular (sigma_min={sigma_min:.3e})"
         )
     cond = sigma_max / sigma_min
-    if monomial:
+    if diagonal:
         Hc = np.conj(H) if op.conjugates else H
-        transformed = m[:, None] * Hc[np.ix_(cols, cols)] / m[None, :]
+        transformed = d[:, None] * Hc / d[None, :]
     else:
         transformed = op.matrix_action(H)
     h_norm = np.linalg.norm(H)
@@ -148,9 +142,11 @@ def find_antilinear_symmetry(H, tol: float = 1e-8,
     of each conjugate pair and fixes real eigenvalues, so M·conj(R_i) =
     c_i·R_π(i) and M·conj(H) = H·M for every nonzero c. The phases c_i are
     those of the leading eigenvector of W = G ∘ G[π][:, π] with G = R†R:
-    if H has an antiunitary symmetry and a simple spectrum, and no set of
-    eigenvectors is orthogonal to all the others, they make M unitary (c = 1
-    can leave M nearly singular). This costs O(n³).
+    if H has an antiunitary symmetry and a simple spectrum they make M
+    unitary (c = 1 can leave M nearly singular). Groups of eigenvectors
+    orthogonal to all the others (block-diagonal H, or H with a unitary
+    symmetry) leave W reducible; each connected block of W takes the phases
+    of its own leading eigenvector. This costs O(n³).
 
     Either route must pass two gates: σ_min(M/‖M‖_F) ≥ 1e-8 and
     ``commutes_with`` residual ≤ ``tol``. When the eigensystem is defective
@@ -196,13 +192,29 @@ def _spectral_intertwiner(system: BiorthogonalSystem, pair_indices) -> np.ndarra
     """M = R[:, π]·diag(c)·Lᵀ for a diagonalizable system (see
     ``find_antilinear_symmetry``)."""
     R, L = system.right_vectors, system.left_vectors
-    perm = np.arange(system.dimension)
+    n = system.dimension
+    perm = np.arange(n)
     for a, b in pair_indices:
         perm[a], perm[b] = b, a
     G = R.conj().T @ R
     W = G * G[np.ix_(perm, perm)]
-    lead = np.linalg.eigh(W)[1][:, -1]
-    c = np.exp(1j * np.angle(lead))
+    # |W_ij| below eps·sqrt(W_ii·W_jj), i.e. |G| below √eps, is rounding
+    # noise and ties no phases together: mutually orthogonal groups of
+    # eigenvectors take their phases from separate leading eigenvectors
+    scale = np.sqrt(np.abs(np.diagonal(W)))
+    linked = np.abs(W) > np.finfo(float).eps * np.outer(scale, scale)
+    # connected blocks: propagate the smallest index until it settles
+    labels = np.arange(n)
+    while True:
+        reached = np.where(linked, labels, n).min(axis=1)
+        if np.array_equal(reached, labels):
+            break
+        labels = reached
+    c = np.empty(n, dtype=complex)
+    for block in np.unique(labels):
+        idx = np.flatnonzero(labels == block)
+        lead = np.linalg.eigh(W[np.ix_(idx, idx)])[1][:, -1]
+        c[idx] = np.exp(1j * np.angle(lead))
     return (R[:, perm] * c) @ L.T
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from biortho.antilinear import (
     is_real,
 )
 from biortho.errors import (
+    ConvergenceError,
     DefectiveSystemError,
     NoAntilinearSymmetryError,
     SignAmbiguityError,
@@ -82,7 +84,7 @@ def test_conjugation_fails_for_unpaired_complex_diagonal():
 
 
 def test_singular_linear_part_rejected():
-    # diag(1, 1e-20) takes the monomial path, zero and ones((2, 2)) the SVD
+    # zero and diag(1, 1e-20) take the diagonal path, ones((2, 2)) the SVD
     for M in (np.zeros((2, 2)), np.diag([1.0, 1e-20]), np.ones((2, 2))):
         with pytest.raises(SingularOperatorError):
             commutes_with(AntilinearOp(M), np.eye(2))
@@ -100,24 +102,6 @@ def test_diagonal_linear_part_matches_explicit_residual():
         explicit = np.linalg.norm(D @ Hc @ np.linalg.inv(D) - H) / np.linalg.norm(H)
         assert abs(check.residual - explicit) < 1e-12
         assert abs(check.condition_number - np.linalg.cond(D)) < 1e-12
-
-
-def test_monomial_linear_part_matches_explicit_residual():
-    # M[i, σ(i)] = m_i: a random complex monomial and the dimer swap
-    rng = np.random.default_rng(32)
-    n = 12
-    P = np.eye(n)[rng.permutation(n)]
-    m = rng.uniform(0.3, 4.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
-    H = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    cases = [(m[:, None] * P, H),
-             (dimer_pt_operator().linear_part, dimer_hamiltonian(0.5, 1.0))]
-    for M, H in cases:
-        for conjugates in (True, False):
-            check = commutes_with(AntilinearOp(M, conjugates=conjugates), H)
-            Hc = np.conj(H) if conjugates else H
-            explicit = np.linalg.norm(M @ Hc @ np.linalg.inv(M) - H) / np.linalg.norm(H)
-            assert abs(check.residual - explicit) < 1e-12
-            assert abs(check.condition_number - np.linalg.cond(M)) < 1e-12
 
 
 def test_is_real_reports():
@@ -182,6 +166,15 @@ def test_find_symmetry_spectral_route_gauged_cubic(monkeypatch):
         op = find_antilinear_symmetry(H)
         assert commutes_with(op, H).residual < 1e-9
         assert np.linalg.cond(op.linear_part) < 10
+    # two mutually orthogonal groups of eigenvectors (reducible phase
+    # matrix W), block-diagonal and in a random complex basis
+    for n1, n2 in ((8, 12), (24, 28)):
+        B = scipy.linalg.block_diag(_gauged_cubic(n1, rng), 1.7 * _gauged_cubic(n2, rng))
+        Q, _ = np.linalg.qr(rng.standard_normal(B.shape) + 1j * rng.standard_normal(B.shape))
+        for H in (B, Q @ B @ Q.conj().T):
+            op = find_antilinear_symmetry(H)
+            assert commutes_with(op, H).residual < 1e-9
+            assert np.linalg.cond(op.linear_part) < 10
 
 
 def test_find_symmetry_jordan_and_degenerate_complex_inputs(monkeypatch):
@@ -204,6 +197,18 @@ def test_find_symmetry_jordan_and_degenerate_complex_inputs(monkeypatch):
         op = find_antilinear_symmetry(H)
         assert commutes_with(op, H).residual < 1e-8
     assert fallbacks == [2]
+
+
+def test_find_symmetry_error_types(monkeypatch):
+    with pytest.raises(ValueError):
+        find_antilinear_symmetry(np.array([[1j, np.nan], [0.0, 1.0]]))
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("QR iteration did not converge")
+
+    monkeypatch.setattr(scipy.linalg, "eig", no_convergence)
+    with pytest.raises(ConvergenceError):
+        find_antilinear_symmetry(np.diag([1 + 1j, 1 - 1j]))
 
 
 def test_spectral_and_nullspace_intertwiners_agree_on_equation():
