@@ -39,7 +39,6 @@ from .evolution import (
     OverlapTrace,
     SelectionRuleReport,
     euclidean_reality,
-    expm_series,
     overlap_trace,
     propagator,
     selection_rule_check,

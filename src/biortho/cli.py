@@ -167,6 +167,10 @@ def build_config(args: argparse.Namespace) -> dict:
     _validate_parameters(config["model"], config["parameters"])
     if config["model"] == "custom" and not config["matrix_file"]:
         raise ConfigError("model 'custom' requires --matrix-file")
+    if not isinstance(config["n_times"], int) or config["n_times"] < 1:
+        raise ConfigError(f"n_times must be an integer >= 1, got {config['n_times']!r}")
+    if not isinstance(config["t_max"], (int, float)) or not np.isfinite(config["t_max"]):
+        raise ConfigError(f"t_max must be a finite number, got {config['t_max']!r}")
     return config
 
 
@@ -430,7 +434,8 @@ def run_checks(config: dict) -> dict:
 
     if config.get("matrix_file"):
         H = read_matrix_file(config["matrix_file"])
-        evals = np.linalg.eigvals(H)
+        sys_custom = eigendecompose(H)
+        evals = sys_custom.eigenvalues
         scale = max(float(np.max(np.abs(evals))), 1.0)
         buckets = classify_spectrum(evals, tol_real=1e-8 * scale,
                                     tol_cluster=1e-8 * scale)
@@ -440,7 +445,6 @@ def run_checks(config: dict) -> dict:
             "gate": 1.0,
             "ok": not buckets.has_warning,
         })
-        sys_custom = eigendecompose(H)
         if sys_custom.is_diagonalizable:
             rule = selection_rule_check(sys_custom)
             checks.append(_check("custom-matrix-selection-rule",

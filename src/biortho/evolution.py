@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DefectiveSystemError, PropagatorRangeError
 from .spectral import BiorthogonalSystem, eigendecompose
@@ -29,32 +30,6 @@ OVERLAP_NOISE_FLOOR = 1e-13
 DEFAULT_N_TIMES = 101
 
 
-def expm_series(A: np.ndarray, max_terms: int = 64) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring on the Taylor series."""
-    A = np.asarray(A, dtype=complex)
-    n = A.shape[0]
-    norm = np.linalg.norm(A, 1)
-    squarings = max(0, int(np.ceil(np.log2(norm / 0.5)))) if norm > 0.5 else 0
-    B = A / (2.0 ** squarings)
-
-    result = np.eye(n, dtype=complex)
-    term = np.eye(n, dtype=complex)
-    for k in range(1, max_terms + 1):
-        term = term @ B / k
-        result = result + term
-        if np.linalg.norm(term, 1) <= np.finfo(float).eps * np.linalg.norm(result, 1):
-            break
-    for _ in range(squarings):
-        result = result @ result
-    return result
-
-
-def _growth_rate(H: np.ndarray) -> float:
-    """Largest |Im E| over the spectrum (growth/decay rate of exp(−iHt))."""
-    evals = np.linalg.eigvals(H)
-    return float(np.max(np.abs(evals.imag))) if evals.size else 0.0
-
-
 def _check_range(rate: float, t: float, what: str):
     if rate * abs(t) > MAX_EXPONENT:
         raise PropagatorRangeError(
@@ -64,34 +39,19 @@ def _check_range(rate: float, t: float, what: str):
         )
 
 
-def propagator(H, t: float, method: str = "auto",
-               system: BiorthogonalSystem | None = None) -> np.ndarray:
+def propagator(H, t: float, system: BiorthogonalSystem | None = None) -> np.ndarray:
     """Evolution operator exp(−iHt).
 
-    method "eigen" uses the biorthonormal spectral sum (requires a
-    diagonalizable H), "series" uses scaling-and-squaring, "auto" prefers
-    the spectral route and falls back to the series for defective input.
+    H is factorized once (or ``system`` is reused): a diagonalizable H
+    gets the biorthonormal spectral sum, a defective one
+    ``scipy.linalg.expm``.
     """
     H = np.asarray(H, dtype=complex)
-    if method not in ("auto", "eigen", "series"):
-        raise ValueError(f"unknown method {method!r}")
-    if system is not None:
-        rate = float(np.max(np.abs(system.eigenvalues.imag)))
-    else:
-        rate = _growth_rate(H)
-    _check_range(rate, t, "propagator")
-
-    if method == "series":
-        return expm_series(-1j * t * H)
-
     if system is None:
         system = eigendecompose(H)
+    _check_range(float(np.max(np.abs(system.eigenvalues.imag))), t, "propagator")
     if not system.is_diagonalizable:
-        if method == "eigen":
-            raise DefectiveSystemError(
-                "spectral propagator requires a diagonalizable matrix"
-            )
-        return expm_series(-1j * t * H)
+        return scipy.linalg.expm(-1j * t * H)
 
     phases = np.exp(-1j * system.eigenvalues * t)
     return (system.right_vectors * phases) @ system.left_vectors.conj().T
@@ -124,7 +84,7 @@ def overlap_trace(system: BiorthogonalSystem, times=None,
     Each entry is computed two ways: from the closed-form phase
     G(0)·exp(i(E_j − E_i)t), which is what gets recorded (it never
     overflows), and literally as <L_j(0)|exp(iHt)·exp(−iHt)|R_i(0)> with
-    series exponentials for the times where that product's cancellation
+    ``scipy.linalg.expm`` for the times where that product's cancellation
     noise eps·e^{2gt} stays below the 1e-9 agreement gate.
     """
     if not system.is_diagonalizable:
@@ -135,6 +95,8 @@ def overlap_trace(system: BiorthogonalSystem, times=None,
     if times is None:
         times = np.linspace(0.0, t_max, n_times)
     times = np.asarray(times, dtype=float)
+    if times.size == 0:
+        raise ValueError("overlap_trace needs at least one time")
 
     H = system.matrix
     L = system.left_vectors
@@ -154,18 +116,19 @@ def overlap_trace(system: BiorthogonalSystem, times=None,
     exponent = 1j * (E[:, None] - E[None, :])
     exponent = np.where(G0 == 0.0, 0.0, exponent)
     overlaps = np.empty((len(times), *G0.shape), dtype=complex)
+    drift = np.zeros(G0.shape)
     agreement = 0.0
     for k, t in enumerate(times):
         expo = exponent * t
         expo = np.minimum(expo.real, MAX_EXPONENT) + 1j * expo.imag
         overlaps[k] = G0 * np.exp(expo)
+        drift = np.maximum(drift, np.abs(overlaps[k] - overlaps[0]))
         if abs(t) <= literal_bound:
-            forward = expm_series(1j * t * H)
-            backward = expm_series(-1j * t * H)
+            forward = scipy.linalg.expm(1j * t * H)
+            backward = scipy.linalg.expm(-1j * t * H)
             literal = L.conj().T @ forward @ backward @ R
             agreement = max(agreement, float(np.max(np.abs(literal - overlaps[k]))))
 
-    drift = np.max(np.abs(overlaps - overlaps[0]), axis=0)
     return OverlapTrace(
         times=times,
         overlaps=overlaps,
@@ -253,7 +216,7 @@ def euclidean_reality(H, tau: float, tol: float = 1e-10) -> EuclideanReality:
             f"{MAX_EXPONENT / decay:.6g}",
             safe_time=MAX_EXPONENT / decay,
         )
-    K = expm_series(-tau * H)
+    K = scipy.linalg.expm(-tau * H)
     max_imag = float(np.max(np.abs(K.imag)))
     return EuclideanReality(
         is_real=max_imag < tol,

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+import scipy.linalg
 
 from .errors import ConstraintSolveError
-from .evolution import expm_series
 
 SIGMA_1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -115,7 +115,7 @@ def complex_boost_spinor(basis: GammaBasis, i: int, xi: complex) -> np.ndarray:
 def complex_boost_spinor_series(basis: GammaBasis, i: int, xi: complex) -> np.ndarray:
     """Same boost by direct matrix exponential (cross-check route)."""
     G = basis.gammas[0] @ basis.gammas[i]
-    return expm_series(-complex(xi) / 2.0 * G)
+    return scipy.linalg.expm(-complex(xi) / 2.0 * G)
 
 
 def _is_i_pi(xi: complex) -> bool:

@@ -192,6 +192,26 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     assert "modle" in json.loads(out)["error"]["message"]
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n_times", 0), ("n_times", -3), ("t_max", float("nan")),
+    ("t_max", float("inf")), ("t_max", float("-inf")),
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_overlap_rejects_bad_time_grid(tmp_path, capsys, source, key, value):
+    args = ["overlap", "--model", "dimer", "--g", "1", "--k", "0.5"]
+    if source == "flag":
+        args.append(f"--{key.replace('_', '-')}={value}")
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        args += ["--config", str(cfg)]
+    code, out = run_cli(capsys, *args)
+    assert code == 1
+    report = json.loads(out)
+    assert report["error"]["type"] == "ConfigError"
+    assert key in report["error"]["message"]
+
+
 def test_output_file(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, _ = run_cli(capsys, "spectrum", "--model", "dimer",

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from biortho.errors import DefectiveSystemError, PropagatorRangeError
 from biortho.evolution import (
     euclidean_reality,
-    expm_series,
     overlap_trace,
     propagator,
     selection_rule_check,
@@ -27,18 +27,16 @@ def test_propagator_diagonal_at_pi():
 
 def test_propagator_nilpotent_series_terminates():
     H = dimer_hamiltonian(1.0, 1.0)          # H² = 0
-    P = propagator(H, 1.0)                   # auto falls back to the series
+    P = propagator(H, 1.0)                   # defective: falls back to expm
     assert np.allclose(P, np.eye(2) - 1j * H, atol=1e-15)
-    with pytest.raises(DefectiveSystemError):
-        propagator(H, 1.0, method="eigen")
 
 
 def test_propagator_dual_method_agreement():
     H = dimer_hamiltonian(1.0, 0.5)
     for t in (0.3, 2.0, 7.5):
-        eig = propagator(H, t, method="eigen")
-        series = propagator(H, t, method="series")
-        assert np.max(np.abs(eig - series)) < 1e-9
+        eig = propagator(H, t)
+        direct = scipy.linalg.expm(-1j * t * H)
+        assert np.max(np.abs(eig - direct)) < 1e-9
 
 
 def test_propagator_exponent_law():
@@ -55,16 +53,6 @@ def test_propagator_range_error_reports_safe_time():
     with pytest.raises(PropagatorRangeError) as excinfo:
         propagator(H, 10.0)
     assert np.isclose(excinfo.value.safe_time, 7.0)
-
-
-def test_expm_series_matches_scipy():
-    import scipy.linalg
-
-    rng = np.random.default_rng(13)
-    for n in (3, 8):
-        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        assert np.max(np.abs(expm_series(A) - scipy.linalg.expm(A))) < 1e-11
-    assert np.array_equal(expm_series(np.zeros((3, 3))), np.eye(3))
 
 
 def test_propagator_accepts_precomputed_system():
@@ -96,6 +84,8 @@ def test_overlap_trace_broken_dimer_growth_decay_pairing():
     system = eigendecompose(dimer_hamiltonian(1.0, 0.5))
     trace = overlap_trace(system, t_max=10.0)
     assert trace.max_drift < 1e-9
+    assert np.array_equal(
+        trace.drift, np.max(np.abs(trace.overlaps - trace.overlaps[0]), axis=0))
 
     G0 = trace.overlaps[0]
     Ei, Ej = trace.right_eigenvalues, trace.left_eigenvalues
@@ -112,6 +102,11 @@ def test_overlap_trace_broken_dimer_growth_decay_pairing():
 def test_overlap_trace_rejects_defective():
     with pytest.raises(DefectiveSystemError):
         overlap_trace(eigendecompose(dimer_hamiltonian(1.0, 1.0)))
+
+
+def test_overlap_trace_rejects_empty_time_grid():
+    with pytest.raises(ValueError):
+        overlap_trace(eigendecompose(np.diag([1.0, 2.0])), times=[])
 
 
 def test_overlap_trace_drift_across_model_suite():
@@ -135,6 +130,8 @@ def test_overlap_trace_switches_to_closed_form_for_strong_growth():
     assert 0.5 < trace.literal_time_bound < 1.5
     assert trace.max_drift < 1e-9
     assert trace.method_agreement < 1e-9
+    assert np.array_equal(
+        trace.drift, np.max(np.abs(trace.overlaps - trace.overlaps[0]), axis=0))
 
 
 def test_selection_rule_hermitian_reduces_to_orthonormality():
