@@ -4,7 +4,10 @@ Right states evolve with exp(−iHt); left states pick up exp(iHt) on the
 right of the bra, so every paired overlap <L_i|R_i> is constant in time.
 Overlap traces are computed both literally (matrix exponential products)
 and from the closed-form phase exp(i(E_j − E_i)t); the two must agree on
-the numerically safe time range.
+the numerically safe time range. For an entrywise-real H, complex
+conjugation K is itself an antilinear symmetry, exp(−iHt) = K·exp(iHt)·K,
+so the backward factor of the literal product is the entrywise conjugate
+of the forward one and costs no second exponential.
 """
 
 from __future__ import annotations
@@ -85,7 +88,9 @@ def overlap_trace(system: BiorthogonalSystem, times=None,
     G(0)·exp(i(E_j − E_i)t), which is what gets recorded (it never
     overflows), and literally as <L_j(0)|exp(iHt)·exp(−iHt)|R_i(0)> with
     ``scipy.linalg.expm`` for the times where that product's cancellation
-    noise eps·e^{2gt} stays below the 1e-9 agreement gate.
+    noise eps·e^{2gt} stays below the 1e-9 agreement gate. For entrywise-real
+    H the backward factor exp(−iHt) is taken as conj(exp(iHt)), since
+    exp(−iHt) = K·exp(iHt)·K; complex H gets a second ``expm``.
     """
     if not system.is_diagonalizable:
         raise DefectiveSystemError(
@@ -106,6 +111,8 @@ def overlap_trace(system: BiorthogonalSystem, times=None,
     floor = OVERLAP_NOISE_FLOOR * float(np.max(np.abs(G0)))
     G0 = np.where(np.abs(G0) < floor, 0.0, G0)
 
+    # exp(−iHt) = K·exp(iHt)·K for entrywise-real H: one expm per step
+    real_H = not np.any(H.imag)
     rate = float(np.max(np.abs(system.eigenvalues.imag)))
     literal_bound = np.inf if rate == 0.0 else LITERAL_EXPONENT_BOUND / rate
 
@@ -125,7 +132,8 @@ def overlap_trace(system: BiorthogonalSystem, times=None,
         drift = np.maximum(drift, np.abs(overlaps[k] - overlaps[0]))
         if abs(t) <= literal_bound:
             forward = scipy.linalg.expm(1j * t * H)
-            backward = scipy.linalg.expm(-1j * t * H)
+            backward = (forward.conj() if real_H
+                        else scipy.linalg.expm(-1j * t * H))
             literal = L.conj().T @ forward @ backward @ R
             agreement = max(agreement, float(np.max(np.abs(literal - overlaps[k]))))
 
@@ -201,13 +209,16 @@ class EuclideanReality:
 def euclidean_reality(H, tau: float, tol: float = 1e-10) -> EuclideanReality:
     """Entrywise and trace reality of the Euclidean propagator exp(−H·tau).
 
-    Entrywise reality holds whenever H itself is real; for a Hamiltonian
+    Entrywise reality holds whenever H itself is real (such an H is kept
+    in real arithmetic, so ``max_imag`` is exactly 0); for a Hamiltonian
     with conjugate-paired spectrum only the trace need be real, so both
     are reported.
     """
     H = np.asarray(H, dtype=complex)
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
+    if not np.any(H.imag):
+        H = H.real
     evals = np.linalg.eigvals(H)
     decay = float(np.max(-evals.real)) if evals.size else 0.0
     if decay * tau > MAX_EXPONENT:

@@ -107,9 +107,10 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
     evals, lvecs, rvecs = evals[order], lvecs[:, order], rvecs[:, order]
 
     scale = max(np.linalg.norm(A, 2), 1.0)
-    right_res = float(np.max(np.linalg.norm(A @ rvecs - rvecs * evals, axis=0)))
+    right_res = float(np.max(np.linalg.norm(
+        _matmul(A, rvecs) - rvecs * evals, axis=0)))
     left_res = float(np.max(np.linalg.norm(
-        A.conj().T @ lvecs - lvecs * np.conj(evals), axis=0)))
+        _matmul(A.conj().T, lvecs) - lvecs * np.conj(evals), axis=0)))
     if max(right_res, left_res) > tol * scale:
         raise ConvergenceError(
             f"eigenvector residual {max(right_res, left_res):.3e} exceeds "
@@ -136,6 +137,15 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
         left_residual=left_res,
         defective_indices=defective,
     )
+
+
+def _matmul(A, X) -> np.ndarray:
+    """A @ X; a real A times a complex X runs as one real GEMM on the
+    interleaved (Re, Im) columns of X, where numpy would upcast A to
+    complex for ``zgemm``."""
+    if np.iscomplexobj(A) or not np.iscomplexobj(X):
+        return A @ X
+    return (A @ np.ascontiguousarray(X).view(float)).view(complex)
 
 
 def _rebiorthogonalize_clusters(evals, rvecs, lvecs, flagged,

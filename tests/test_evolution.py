@@ -4,6 +4,8 @@ import scipy.linalg
 
 from biortho.errors import DefectiveSystemError, PropagatorRangeError
 from biortho.evolution import (
+    MAX_EXPONENT,
+    OVERLAP_NOISE_FLOOR,
     euclidean_reality,
     overlap_trace,
     propagator,
@@ -134,6 +136,80 @@ def test_overlap_trace_switches_to_closed_form_for_strong_growth():
         trace.drift, np.max(np.abs(trace.overlaps - trace.overlaps[0]), axis=0))
 
 
+def _nonnormal_real_spectrum(n, seed):
+    """S·diag(E)·S⁻¹ with a real, well-separated spectrum and cond(S) = 4."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    S = (u * np.geomspace(1.0, 4.0, n)) @ v.T
+    E = np.sort(rng.uniform(-2.0, 2.0, n))
+    return S @ np.diag(E) @ np.linalg.inv(S)
+
+
+def _expm_spy(monkeypatch):
+    """Record the argument and result of every scipy.linalg.expm call."""
+    calls = []
+    expm = scipy.linalg.expm
+
+    def spy(A, *args, **kwargs):
+        result = expm(A, *args, **kwargs)
+        calls.append((A, result))
+        return result
+
+    monkeypatch.setattr(scipy.linalg, "expm", spy)
+    return calls
+
+
+# (H, t_max): the truncated cubic's artifact pairs (growth rate ~100) keep
+# the literal route to t <~ 0.07, so it gets a short grid that crosses that
+# bound; the dimer is the complex-H control
+TRACE_CASES = [
+    (_nonnormal_real_spectrum(24, 3), 10.0),
+    (cubic_hamiltonian(16, Realization.POSITION_IMAGINARY), 0.2),
+    (dimer_hamiltonian(1.0, 0.5), 10.0),
+]
+
+
+@pytest.mark.parametrize("H, t_max", TRACE_CASES)
+def test_overlap_trace_one_expm_per_step_for_real_h(monkeypatch, H, t_max):
+    system = eigendecompose(H)
+    calls = _expm_spy(monkeypatch)
+    trace = overlap_trace(system, t_max=t_max, n_times=41)
+    literal_steps = int(np.sum(np.abs(trace.times) <= trace.literal_time_bound))
+    assert literal_steps > 1
+    per_step = 2 if np.any(np.asarray(H).imag) else 1
+    assert len(calls) == per_step * literal_steps
+
+
+@pytest.mark.parametrize("H, t_max", TRACE_CASES)
+def test_overlap_trace_matches_two_expm_reference(H, t_max):
+    system = eigendecompose(H)
+    trace = overlap_trace(system, t_max=t_max, n_times=41)
+
+    # reference: the literal route with both exponentials formed explicitly
+    Hc = np.asarray(H, dtype=complex)
+    L, R = system.left_vectors, system.right_vectors
+    G0 = system.overlap_matrix()
+    G0 = np.where(np.abs(G0) < OVERLAP_NOISE_FLOOR * np.max(np.abs(G0)), 0.0, G0)
+    E = system.eigenvalues
+    exponent = np.where(G0 == 0.0, 0.0, 1j * (E[:, None] - E[None, :]))
+    overlaps, agreement = [], 0.0
+    for t in trace.times:
+        expo = exponent * t
+        expo = np.minimum(expo.real, MAX_EXPONENT) + 1j * expo.imag
+        overlaps.append(G0 * np.exp(expo))
+        if abs(t) <= trace.literal_time_bound:
+            literal = (L.conj().T @ scipy.linalg.expm(1j * t * Hc)
+                       @ scipy.linalg.expm(-1j * t * Hc) @ R)
+            agreement = max(agreement, np.max(np.abs(literal - overlaps[-1])))
+    overlaps = np.array(overlaps)
+    drift = np.max(np.abs(overlaps - overlaps[0]), axis=0)
+
+    assert np.max(np.abs(trace.overlaps - overlaps)) <= 1e-12
+    assert np.max(np.abs(trace.drift - drift)) <= 1e-12
+    assert abs(trace.method_agreement - agreement) <= 1e-12
+
+
 def test_selection_rule_hermitian_reduces_to_orthonormality():
     rng = np.random.default_rng(14)
     A = rng.standard_normal((6, 6))
@@ -190,6 +266,19 @@ def test_reality_propagates_to_euclidean_propagator():
         assert np.max(np.abs(np.asarray(H).imag)) == 0.0
         for tau in (0.1, 1.0, 5.0):
             assert euclidean_reality(H, tau, tol=1e-10).is_real
+
+
+def test_euclidean_reality_real_h_stays_real(monkeypatch):
+    H = cubic_hamiltonian(24, Realization.POSITION_IMAGINARY)
+    tau = 0.5
+    calls = _expm_spy(monkeypatch)
+    report = euclidean_reality(H, tau)
+    assert report.max_imag == 0.0
+    assert report.trace_imag == 0.0
+    (A, K), = calls
+    assert not np.iscomplexobj(A)
+    reference = scipy.linalg.expm(-tau * np.asarray(H).astype(complex))
+    assert np.linalg.norm(K - reference) <= 1e-12 * np.linalg.norm(reference)
 
 
 def test_euclidean_reality_input_validation():

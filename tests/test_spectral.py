@@ -7,6 +7,7 @@ from biortho.models import (
     PUParams,
     cubic_hamiltonian,
     dimer_hamiltonian,
+    pu_hamiltonian_fock,
     pu_spectrum_formula,
 )
 from biortho.spectral import (
@@ -105,6 +106,25 @@ def test_real_input_spectrum_exactly_conjugation_closed():
     for n in (7, 30, 64):
         evals = eigendecompose(rng.standard_normal((n, n))).eigenvalues
         assert np.array_equal(np.sort_complex(evals), np.sort_complex(np.conj(evals)))
+
+
+def test_real_input_residuals_match_complex_gemm():
+    # real input with complex eigenvalues: the residual products run as real
+    # GEMMs and must match the complex-GEMM values to within GEMM rounding
+    H = pu_hamiltonian_fock(8, 8, PUParams.from_alpha_beta(1.0, 1.0, 0.5)).matrix
+    assert not np.any(H.imag)
+    system = eigendecompose(H)
+    evals, lvecs, rvecs = scipy.linalg.eig(H.real, left=True, right=True)
+    assert np.any(evals.imag)
+    order = np.lexsort((evals.imag, evals.real))
+    evals, lvecs, rvecs = evals[order], lvecs[:, order], rvecs[:, order]
+    Hc = H.astype(complex)
+    right = np.max(np.linalg.norm(Hc @ rvecs - rvecs * evals, axis=0))
+    left = np.max(np.linalg.norm(
+        Hc.conj().T @ lvecs - lvecs * np.conj(evals), axis=0))
+    rounding = H.shape[0] * np.finfo(float).eps * np.linalg.norm(H, 2)
+    assert abs(system.right_residual - right) <= rounding
+    assert abs(system.left_residual - left) <= rounding
 
 
 def _degenerate_nonnormal(kind):
