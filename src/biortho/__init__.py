@@ -30,7 +30,6 @@ from .errors import (
     InvalidCutoffError,
     NoAntilinearSymmetryError,
     PropagatorRangeError,
-    ShapeMismatchError,
     SignAmbiguityError,
     SingularOperatorError,
 )
@@ -44,10 +43,8 @@ from .evolution import (
     selection_rule_check,
 )
 from .fock import (
-    MultiModeOperator,
     Realization,
     commutator,
-    embed,
     ladder,
     parity,
     position_momentum,

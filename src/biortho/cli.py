@@ -82,23 +82,38 @@ DEFAULTS = {
 }
 
 
+class ConfigError(BiorthoError, ValueError):
+    pass
+
+
 def read_matrix_file(path: str) -> np.ndarray:
-    """Parse the plain-text complex matrix format."""
-    with open(path) as fh:
-        tokens = fh.read().split()
+    """Parse the plain-text complex matrix format; ConfigError if malformed."""
+    try:
+        with open(path) as fh:
+            tokens = fh.read().split()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read matrix file: {exc}") from exc
     if not tokens:
-        raise ValueError(f"{path}: empty matrix file")
-    n = int(tokens[0])
+        raise ConfigError(f"{path}: empty matrix file")
+    n = int(tokens[0]) if tokens[0].isdecimal() else 0
+    if n < 1:
+        raise ConfigError(f"{path}: size must be an integer >= 1, got {tokens[0]!r}")
     entries = tokens[1:]
     if len(entries) != n * n:
-        raise ValueError(
+        raise ConfigError(
             f"{path}: expected {n * n} entries for n={n}, found {len(entries)}"
         )
     values = []
     for tok in entries:
-        re_s, im_s = tok.split(",")
-        values.append(complex(float(re_s), float(im_s)))
-    return np.array(values, dtype=complex).reshape(n, n)
+        try:
+            re_s, im_s = tok.split(",")
+            values.append(complex(float(re_s), float(im_s)))
+        except ValueError:
+            raise ConfigError(f"{path}: entry {tok!r} is not a 're,im' pair") from None
+    matrix = np.array(values, dtype=complex).reshape(n, n)
+    if not np.all(np.isfinite(matrix)):
+        raise ConfigError(f"{path}: matrix has non-finite entries")
+    return matrix
 
 
 def write_matrix_file(path: str, matrix: np.ndarray):
@@ -108,10 +123,6 @@ def write_matrix_file(path: str, matrix: np.ndarray):
         fh.write(f"{n}\n")
         for row in matrix:
             fh.write(" ".join(f"{float(v.real)!r},{float(v.imag)!r}" for v in row) + "\n")
-
-
-class ConfigError(BiorthoError, ValueError):
-    pass
 
 
 def _validate_parameters(model: str, parameters: dict):
@@ -134,8 +145,13 @@ def build_config(args: argparse.Namespace) -> dict:
     config["parameters"] = {}
 
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            file_cfg = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                file_cfg = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"{args.config}: cannot read config: {exc}") from exc
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"{args.config}: config must be a JSON object")
         unknown = set(file_cfg) - set(DEFAULTS)
         if unknown:
             raise ConfigError(
@@ -209,8 +225,7 @@ def build_model(config: dict):
     if model == "pu":
         pu = _pu_params(params)
         n1, n2 = (trunc * 2)[:2]
-        H = pu_hamiltonian_fock(n1, n2, pu).matrix
-        return H, pu_pt_operator(n1, n2)
+        return pu_hamiltonian_fock(n1, n2, pu), pu_pt_operator(n1, n2)
     if model == "custom":
         return read_matrix_file(config["matrix_file"]), None
     raise ConfigError(f"unknown model {model!r}")

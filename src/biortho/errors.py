@@ -13,10 +13,6 @@ class InvalidCutoffError(BiorthoError, ValueError):
     """Fock-space cutoff too small for the requested construction."""
 
 
-class ShapeMismatchError(BiorthoError, ValueError):
-    """Operator dimensions incompatible with the requested embedding."""
-
-
 class ConvergenceError(BiorthoError, RuntimeError):
     """Eigenvalue iteration failed to converge.
 

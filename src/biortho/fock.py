@@ -16,12 +16,11 @@ entry, so commutator checks exclude the final row/column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidCutoffError, ShapeMismatchError
+from .errors import InvalidCutoffError
 
 SQRT2 = np.sqrt(2.0)
 
@@ -29,27 +28,6 @@ SQRT2 = np.sqrt(2.0)
 class Realization(Enum):
     POSITION_REAL = "position-real"
     POSITION_IMAGINARY = "position-imaginary"
-
-
-@dataclass(frozen=True)
-class MultiModeOperator:
-    """Dense operator on a tensor product of truncated modes.
-
-    Mode ordering is as listed in ``mode_dims``: leftmost mode is the
-    slowest (most significant) Kronecker index.
-    """
-
-    mode_dims: tuple
-    matrix: np.ndarray
-    labels: tuple
-
-    def __post_init__(self):
-        expected = int(np.prod(self.mode_dims))
-        if self.matrix.shape != (expected, expected):
-            raise ShapeMismatchError(
-                f"matrix is {self.matrix.shape}, mode dims {self.mode_dims} "
-                f"require {expected}x{expected}"
-            )
 
 
 def _freeze(arr):
@@ -89,28 +67,6 @@ def parity(n: int) -> np.ndarray:
         raise InvalidCutoffError(f"cutoff must be >= 1, got {n}")
     signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     return _freeze(np.diag(signs))
-
-
-def embed(op: np.ndarray, mode_index: int, mode_dims, labels=None) -> MultiModeOperator:
-    """Kronecker-embed ``op`` on mode ``mode_index``, identity elsewhere."""
-    mode_dims = tuple(int(d) for d in mode_dims)
-    op = np.asarray(op, dtype=complex)
-    if not 0 <= mode_index < len(mode_dims):
-        raise ShapeMismatchError(
-            f"mode index {mode_index} out of range for {len(mode_dims)} modes"
-        )
-    d = mode_dims[mode_index]
-    if op.shape != (d, d):
-        raise ShapeMismatchError(
-            f"operator is {op.shape} but mode {mode_index} has dimension {d}"
-        )
-    full = np.eye(1, dtype=complex)
-    for k, dim in enumerate(mode_dims):
-        factor = op if k == mode_index else np.eye(dim, dtype=complex)
-        full = np.kron(full, factor)
-    if labels is None:
-        labels = tuple(f"mode{k}" for k in range(len(mode_dims)))
-    return MultiModeOperator(mode_dims=mode_dims, matrix=_freeze(full), labels=tuple(labels))
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

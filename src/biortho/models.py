@@ -21,13 +21,7 @@ import scipy.sparse.linalg as spla
 
 from .antilinear import AntilinearOp
 from .errors import BoundaryResolutionError, InvalidCutoffError
-from .fock import (
-    MultiModeOperator,
-    Realization,
-    ladder,
-    parity,
-    position_momentum,
-)
+from .fock import Realization, ladder, parity, position_momentum
 
 COEFF_REALITY_TOL = 1e-12
 
@@ -274,12 +268,15 @@ def pu_mode_scales(params: PUParams) -> tuple[float, float]:
 def pu_hamiltonian_fock(n1: int, n2: int, params: PUParams,
                         realizations=(Realization.POSITION_REAL,
                                       Realization.POSITION_IMAGINARY),
-                        scales: tuple[float, float] | None = None) -> MultiModeOperator:
-    """Two-mode truncated matrix of the PU Hamiltonian (x-mode, z-mode).
+                        scales: tuple[float, float] | None = None) -> np.ndarray:
+    """Two-mode truncated matrix of the PU Hamiltonian, as a read-only ndarray.
 
-    With the default realizations the assembled matrix is entrywise real
-    and its low-lying eigenvalues converge to the level formula as the
-    cutoffs grow.
+    The x mode is the slow Kronecker index and the z mode the fast one (the
+    ordering ``pu_pt_operator`` builds its ``np.kron(x_part, z_part)`` for).
+    Each term is a product of per-mode polynomials taken at cutoff n1 or n2
+    and Kronecker-multiplied last, e.g. p_z·x = x ⊗ p_z. With the default
+    realizations the matrix is entrywise real and its low-lying eigenvalues
+    converge to the level formula as the cutoffs grow.
     """
     if n1 < 8 or n2 < 8:
         raise InvalidCutoffError(f"PU cutoffs must be >= 8, got ({n1}, {n2})")
@@ -291,17 +288,13 @@ def pu_hamiltonian_fock(n1: int, n2: int, params: PUParams,
     z, pz = _scaled_z_mode(n2, sz, realizations[1])
     eye1 = np.eye(n1, dtype=complex)
     eye2 = np.eye(n2, dtype=complex)
-    X = np.kron(x, eye2)
-    PX = np.kron(px, eye2)
-    Z = np.kron(eye1, z)
-    PZ = np.kron(eye1, pz)
 
     g = params.gamma
-    H = (PX @ PX / (2.0 * g) + PZ @ X
-         + g * params.sum_sq.real / 2.0 * (X @ X)
-         - g * params.prod_sq.real / 2.0 * (Z @ Z))
+    H = (np.kron(px @ px / (2.0 * g), eye2) + np.kron(x, pz)
+         + np.kron(g * params.sum_sq.real / 2.0 * (x @ x), eye2)
+         - np.kron(eye1, g * params.prod_sq.real / 2.0 * (z @ z)))
     H.setflags(write=False)
-    return MultiModeOperator(mode_dims=(n1, n2), matrix=H, labels=("x", "z"))
+    return H
 
 
 def pu_pt_operator(n1: int, n2: int,

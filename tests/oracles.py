@@ -3,10 +3,15 @@
 These deliberately avoid the library's own eigensolver path: the
 characteristic polynomial comes from the Faddeev-LeVerrier trace recursion
 and its roots from Durand-Kerner simultaneous iteration (no companion
-matrix, no QR).
+matrix, no QR). The Pais-Uhlenbeck reference embeds each mode operator in
+the full space before multiplying, independently of the library's
+per-mode products.
 """
 
 import numpy as np
+
+from biortho.fock import Realization, ladder, position_momentum
+from biortho.models import pu_mode_scales
 
 
 def faddeev_leverrier(H):
@@ -66,3 +71,31 @@ def match_distance(set_a, set_b):
         worst = max(worst, dists[k])
         b.pop(k)
     return worst
+
+
+def pu_fock_kron_reference(n1, n2, params,
+                           realizations=(Realization.POSITION_REAL,
+                                         Realization.POSITION_IMAGINARY)):
+    """PU matrix with every mode operator embedded first: X = x ⊗ I,
+    P_Z = I ⊗ p_z, ..., then multiplied as dense (n1·n2)² matrices.
+
+    The O((n1·n2)³) embed-then-multiply route, with the per-mode operators
+    written out from the ladder here rather than taken from ``models``.
+    """
+    sx, sz = pu_mode_scales(params)
+    x, px = position_momentum(n1, realizations[0])
+    x, px = sx * x, px / sx
+    lo, hi = ladder(n2)
+    z = sz * (lo + hi) / np.sqrt(2.0)
+    pz = 1j * (hi - lo) / (np.sqrt(2.0) * sz)
+    if realizations[1] is Realization.POSITION_IMAGINARY:
+        # imaginary-z contour: z -> i·z, p_z -> -i·p_z
+        z, pz = 1j * z, -1j * pz
+    eye1 = np.eye(n1, dtype=complex)
+    eye2 = np.eye(n2, dtype=complex)
+    X, PX = np.kron(x, eye2), np.kron(px, eye2)
+    Z, PZ = np.kron(eye1, z), np.kron(eye1, pz)
+    g = params.gamma
+    return (PX @ PX / (2.0 * g) + PZ @ X
+            + g * params.sum_sq.real / 2.0 * (X @ X)
+            - g * params.prod_sq.real / 2.0 * (Z @ Z))

@@ -67,7 +67,7 @@ def test_criterion_01_pu_real_regime():
 
     # Fock cross-check at 40x40; convergence study measured 2.8e-13 here,
     # gate frozen at 1e-2
-    evals = np.linalg.eigvals(pu_hamiltonian_fock(40, 40, params).matrix)
+    evals = np.linalg.eigvals(pu_hamiltonian_fock(40, 40, params))
     evals = evals[np.argsort(evals.real)]
     fock_err = float(np.max(np.abs(evals[:4] - np.array([1.5, 2.5, 3.5, 3.5]))))
     assert fock_err < 1e-2
@@ -96,7 +96,7 @@ def test_criterion_02_pu_complex_regime():
     assert not buckets.leftovers
 
     # truncated matrix reproduces the same bucket pattern
-    evals = np.linalg.eigvals(pu_hamiltonian_fock(20, 20, params).matrix)
+    evals = np.linalg.eigvals(pu_hamiltonian_fock(20, 20, params))
     nearest = np.array([evals[np.argmin(np.abs(evals - t))] for t in levels])
     trunc_err = float(np.max(np.abs(nearest - levels)))
     fock_buckets = classify_spectrum(nearest, tol_real=1e-6, tol_cluster=1e-6)
@@ -223,7 +223,7 @@ def test_criterion_08_euclidean_reality():
     real_models = [
         ("harmonic", harmonic_hamiltonian(16)),
         ("cubic-imag", cubic_hamiltonian(24, Realization.POSITION_IMAGINARY)),
-        ("pu-fock", pu_hamiltonian_fock(10, 10, PUParams(1.0, 1.0, 2.0)).matrix),
+        ("pu-fock", pu_hamiltonian_fock(10, 10, PUParams(1.0, 1.0, 2.0))),
         ("dimer-hermitian", dimer_hamiltonian(0.0, 1.0)),
     ]
     worst = 0.0

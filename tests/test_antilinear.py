@@ -240,7 +240,7 @@ def test_eigenvector_dichotomy_under_antilinear_symmetry():
         (harmonic_hamiltonian(10), identity_op(10)),
         (cubic_hamiltonian(12, Realization.POSITION_REAL),
          pt_operator(12, Realization.POSITION_REAL)),
-        (pu_hamiltonian_fock(8, 8, PUParams(1.0, 1.0, 2.3)).matrix,
+        (pu_hamiltonian_fock(8, 8, PUParams(1.0, 1.0, 2.3)),
          pu_pt_operator(8, 8)),
     ]
     for H, A in cases:

@@ -212,6 +212,28 @@ def test_overlap_rejects_bad_time_grid(tmp_path, capsys, source, key, value):
     assert key in report["error"]["message"]
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["checks", "--matrix-file"], "2\n1,0 0,0 0,0\n"),
+    (["checks", "--matrix-file"], "1\n1\n"),
+    (["checks", "--matrix-file"], "1.5\n1,0\n"),
+    (["checks", "--matrix-file"], "0\n"),
+    (["checks", "--matrix-file"], "1\nnan,0\n"),
+    (["spectrum", "--model", "custom", "--matrix-file"], None),
+    (["spectrum", "--config"], None),
+    (["spectrum", "--config"], "{\"model\": "),
+    (["spectrum", "--config"], "3"),
+], ids=["entry-count", "not-re-im", "size-not-integer", "size-below-1",
+        "non-finite", "missing-matrix-file", "missing-config", "invalid-json",
+        "config-not-object"])
+def test_bad_input_files_are_config_errors(tmp_path, capsys, argv, text):
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text)
+    code, out = run_cli(capsys, *argv, str(path))
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "ConfigError"
+
+
 def test_output_file(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, _ = run_cli(capsys, "spectrum", "--model", "dimer",

@@ -117,7 +117,7 @@ def test_overlap_trace_drift_across_model_suite():
         dimer_hamiltonian(1.0, 0.5),
         harmonic_hamiltonian(10),
         cubic_hamiltonian(12, Realization.POSITION_REAL),
-        pu_hamiltonian_fock(8, 8, PUParams(1.0, 1.0, 2.3)).matrix,
+        pu_hamiltonian_fock(8, 8, PUParams(1.0, 1.0, 2.3)),
     ]
     for H in suite:
         trace = overlap_trace(eigendecompose(H), t_max=10.0, n_times=101)
@@ -260,7 +260,7 @@ def test_reality_propagates_to_euclidean_propagator():
     models = [
         harmonic_hamiltonian(12),
         cubic_hamiltonian(16, Realization.POSITION_IMAGINARY),
-        pu_hamiltonian_fock(8, 8, PUParams(1.0, 1.0, 2.0)).matrix,
+        pu_hamiltonian_fock(8, 8, PUParams(1.0, 1.0, 2.0)),
     ]
     for H in models:
         assert np.max(np.abs(np.asarray(H).imag)) == 0.0

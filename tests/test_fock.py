@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biortho.errors import InvalidCutoffError, ShapeMismatchError
+from biortho.errors import InvalidCutoffError
 from biortho.fock import (
     Realization,
     commutator,
-    embed,
     ladder,
     parity,
     position_momentum,
@@ -104,28 +103,6 @@ def test_parity_involution_and_anticommutation():
     # x and p only connect adjacent occupation numbers, so this is exact
     assert np.max(np.abs(P @ x @ P + x)) == 0.0
     assert np.max(np.abs(P @ p @ P + p)) == 0.0
-
-
-def test_embed_diagonal_examples():
-    op = np.diag([1.0, -1.0])
-    first = embed(op, 0, [2, 2])
-    second = embed(op, 1, [2, 2])
-    assert np.array_equal(np.diag(first.matrix).real, [1, 1, -1, -1])
-    assert np.array_equal(np.diag(second.matrix).real, [1, -1, 1, -1])
-
-
-def test_embed_distinct_modes_commute():
-    x, p = position_momentum(8, Realization.POSITION_REAL)
-    X = embed(x, 0, [8, 8]).matrix
-    P = embed(p, 1, [8, 8]).matrix
-    assert np.max(np.abs(commutator(X, P))) < 1e-14
-
-
-def test_embed_shape_errors():
-    with pytest.raises(ShapeMismatchError):
-        embed(np.eye(3), 0, [2, 2])
-    with pytest.raises(ShapeMismatchError):
-        embed(np.eye(2), 5, [2, 2])
 
 
 @pytest.mark.parametrize("realization", list(Realization))

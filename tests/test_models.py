@@ -19,7 +19,7 @@ from biortho.models import (
 )
 from biortho.spectral import classify_spectrum, defect_report
 
-from oracles import faddeev_leverrier, match_distance
+from oracles import faddeev_leverrier, match_distance, pu_fock_kron_reference
 
 
 # ---------------------------------------------------------------- cubic
@@ -207,14 +207,33 @@ def test_pu_formula_degenerate_warns():
 def test_pu_fock_matrix_entrywise_real():
     for params in (PUParams(1.0, 1.0, 2.0),
                    PUParams.from_alpha_beta(1.0, 1.0, 0.5)):
-        H = pu_hamiltonian_fock(8, 8, params).matrix
+        H = pu_hamiltonian_fock(8, 8, params)
         assert np.max(np.abs(H.imag)) == 0.0
+
+
+@pytest.mark.parametrize("z_realization", list(Realization))
+@pytest.mark.parametrize("n1, n2", [(8, 8), (12, 20), (20, 20)])
+@pytest.mark.parametrize("params", [
+    PUParams(1.0, 1.0, 2.0),
+    PUParams.from_alpha_beta(1.0, 1.0, 0.5),
+    PUParams(1.0, 1.0, 1.0),
+], ids=lambda p: p.regime)
+def test_pu_fock_matches_kron_reference(params, n1, n2, z_realization):
+    # unequal cutoffs pin the mode order: x is the slow Kronecker index
+    realizations = (Realization.POSITION_REAL, z_realization)
+    H = pu_hamiltonian_fock(n1, n2, params, realizations=realizations)
+    assert type(H) is np.ndarray
+    assert H.shape == (n1 * n2, n1 * n2)
+    assert not H.flags.writeable
+    reference = pu_fock_kron_reference(n1, n2, params, realizations=realizations)
+    scale = np.max(np.abs(reference))
+    assert np.max(np.abs(H - reference)) <= 4 * np.finfo(float).eps * scale
 
 
 def test_pu_fock_pt_residual():
     for params in (PUParams(1.0, 1.0, 2.0),
                    PUParams.from_alpha_beta(2.0, 1.0, 0.7)):
-        H = pu_hamiltonian_fock(10, 10, params).matrix
+        H = pu_hamiltonian_fock(10, 10, params)
         assert commutes_with(pu_pt_operator(10, 10), H).residual < 1e-10
         # a real matrix also trivially commutes with plain conjugation
         assert commutes_with(identity_op(100), H).residual == 0.0
@@ -228,7 +247,7 @@ def test_pu_fock_converges_to_formula():
     expected = np.array([1.5, 2.5, 3.5, 3.5])
     errors = []
     for n in (16, 24):
-        evals = np.linalg.eigvals(pu_hamiltonian_fock(n, n, params).matrix)
+        evals = np.linalg.eigvals(pu_hamiltonian_fock(n, n, params))
         evals = evals[np.argsort(evals.real)]
         errors.append(np.max(np.abs(evals[:4] - expected)))
     assert errors[0] < 1e-5
@@ -238,7 +257,7 @@ def test_pu_fock_converges_to_formula():
 
 def test_pu_fock_complex_regime_classification():
     params = PUParams.from_alpha_beta(1.0, 1.0, 0.5)
-    H = pu_hamiltonian_fock(20, 20, params).matrix
+    H = pu_hamiltonian_fock(20, 20, params)
     evals = np.linalg.eigvals(H)
     targets = pu_spectrum_formula(params, 1, 1).ravel()
     nearest = np.array([evals[np.argmin(np.abs(evals - t))] for t in targets])
@@ -255,7 +274,7 @@ def test_pu_fock_real_z_contour_is_unbounded_below():
     params = PUParams(1.0, 1.0, 2.0)
     H = pu_hamiltonian_fock(16, 16, params,
                             realizations=(Realization.POSITION_REAL,
-                                          Realization.POSITION_REAL)).matrix
+                                          Realization.POSITION_REAL))
     lowest = np.min(np.linalg.eigvals(H).real)
     assert lowest < -5.0
 
@@ -290,7 +309,7 @@ def test_pu_regime_trichotomy_sweep():
     # the same transition in the truncated Fock picture
     for beta, expect_pair in ((0.3, True),):
         params = PUParams.from_alpha_beta(1.0, alpha, beta)
-        evals = np.linalg.eigvals(pu_hamiltonian_fock(16, 16, params).matrix)
+        evals = np.linalg.eigvals(pu_hamiltonian_fock(16, 16, params))
         target = (1.5) * (alpha + 1j * beta) + 0.5 * (alpha - 1j * beta)
         nearest = evals[np.argmin(np.abs(evals - target))]
         assert (abs(nearest.imag) > 0.1) == expect_pair

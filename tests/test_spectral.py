@@ -111,7 +111,7 @@ def test_real_input_spectrum_exactly_conjugation_closed():
 def test_real_input_residuals_match_complex_gemm():
     # real input with complex eigenvalues: the residual products run as real
     # GEMMs and must match the complex-GEMM values to within GEMM rounding
-    H = pu_hamiltonian_fock(8, 8, PUParams.from_alpha_beta(1.0, 1.0, 0.5)).matrix
+    H = pu_hamiltonian_fock(8, 8, PUParams.from_alpha_beta(1.0, 1.0, 0.5))
     assert not np.any(H.imag)
     system = eigendecompose(H)
     evals, lvecs, rvecs = scipy.linalg.eig(H.real, left=True, right=True)
