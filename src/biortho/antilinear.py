@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     ConditioningError,
@@ -23,6 +24,8 @@ from .spectral import BiorthogonalSystem, classify_spectrum, eigendecompose
 
 SYMMETRY_TOL = 1e-10
 PT_NORM_FLOOR = 1e-10
+# seeded random nullspace combinations tried after the deterministic scan
+N_RANDOM_CANDIDATES = 64
 
 
 @dataclass(frozen=True)
@@ -130,8 +133,7 @@ def _nullspace(A: np.ndarray, rtol: float = 1e-9):
     return vh[rank:].conj().T
 
 
-def find_antilinear_symmetry(H, tol: float = 1e-8,
-                             n_random_candidates: int = 64) -> AntilinearOp:
+def find_antilinear_symmetry(H, tol: float = 1e-8) -> AntilinearOp:
     """Construct an antilinear symmetry A = M∘K of H, if one exists.
 
     Requires the spectrum to be closed under conjugation within ``tol``
@@ -154,7 +156,7 @@ def find_antilinear_symmetry(H, tol: float = 1e-8,
     example a Jordan block in a complex basis, or eigenvectors too
     non-normal to reach ``tol``), M is instead picked from the nullspace of
     X -> H·X − X·conj(H), an O(n⁶) SVD, by a deterministic scan that
-    maximizes the smallest singular value, plus ``n_random_candidates``
+    maximizes the smallest singular value, plus ``N_RANDOM_CANDIDATES``
     seeded random combinations. ConditioningError if that fails too.
     """
     H = np.asarray(H, dtype=complex)
@@ -185,7 +187,7 @@ def find_antilinear_symmetry(H, tol: float = 1e-8,
         except ConditioningError:
             pass
     return _verified_intertwiner(
-        _nullspace_intertwiner(H, n_random_candidates), H, tol)
+        _nullspace_intertwiner(H), H, tol)
 
 
 def _spectral_intertwiner(system: BiorthogonalSystem, pair_indices) -> np.ndarray:
@@ -203,22 +205,16 @@ def _spectral_intertwiner(system: BiorthogonalSystem, pair_indices) -> np.ndarra
     # eigenvectors take their phases from separate leading eigenvectors
     scale = np.sqrt(np.abs(np.diagonal(W)))
     linked = np.abs(W) > np.finfo(float).eps * np.outer(scale, scale)
-    # connected blocks: propagate the smallest index until it settles
-    labels = np.arange(n)
-    while True:
-        reached = np.where(linked, labels, n).min(axis=1)
-        if np.array_equal(reached, labels):
-            break
-        labels = reached
+    n_blocks, labels = connected_components(linked, directed=False)
     c = np.empty(n, dtype=complex)
-    for block in np.unique(labels):
+    for block in range(n_blocks):
         idx = np.flatnonzero(labels == block)
         lead = np.linalg.eigh(W[np.ix_(idx, idx)])[1][:, -1]
         c[idx] = np.exp(1j * np.angle(lead))
     return (R[:, perm] * c) @ L.T
 
 
-def _nullspace_intertwiner(H: np.ndarray, n_random_candidates: int) -> np.ndarray:
+def _nullspace_intertwiner(H: np.ndarray) -> np.ndarray:
     """Best-conditioned element of the nullspace of X -> H·X − X·conj(H),
     normalized to ‖M‖_F = 1."""
     n = H.shape[0]
@@ -239,7 +235,7 @@ def _nullspace_intertwiner(H: np.ndarray, n_random_candidates: int) -> np.ndarra
             candidates.append(mats[a] + mats[b])
             candidates.append(mats[a] - mats[b])
     rng = np.random.default_rng(0)
-    for _ in range(n_random_candidates):
+    for _ in range(N_RANDOM_CANDIDATES):
         coeff = rng.standard_normal(len(mats)) + 1j * rng.standard_normal(len(mats))
         candidates.append(sum(c * m for c, m in zip(coeff, mats)))
 

@@ -6,9 +6,15 @@ Subcommands:
   model instance;
 * ``sweep``    — classification summary per step of a one-parameter scan,
   with the exceptional-point bracket;
-* ``overlap``  — overlap-trace drift and selection-rule report;
+* ``overlap``  — overlap-trace drift and selection-rule report (JSON only);
 * ``checks``   — the full invariant battery (gamma identities, commutators,
   selection rule, Euclidean reality, C operator), nonzero exit on failure.
+
+Settings merge ``OPTIONS`` defaults < a ``--config`` JSON file < flags. A
+config key takes its flag's syntax or the JSON equivalent ("40,40" or
+[40, 40]) through the same parser; any bad value prints a JSON
+``ConfigError`` and exits 1, as does a failed check or selection rule.
+Exit code 2 is argparse's, for structural errors such as an unknown flag.
 
 Reports are JSON (sorted keys, shortest round-trip floats, hence
 byte-identical for identical configs) or CSV with a mandatory header.
@@ -23,6 +29,8 @@ import csv
 import io
 import json
 import sys
+from contextlib import nullcontext
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -64,21 +72,6 @@ MODEL_PARAMETERS = {
     "pu": {"gamma", "omega1", "omega2", "alpha", "beta"},
     "dimer": {"g", "k"},
     "custom": set(),
-}
-
-DEFAULTS = {
-    "model": "dimer",
-    "parameters": {},
-    "truncation": [32],
-    "realization": "position-real",
-    "tol_real": 1e-8,
-    "tol_cluster": 1e-8,
-    "format": "json",
-    "out": None,
-    "sweep": None,
-    "matrix_file": None,
-    "t_max": 10.0,
-    "n_times": 101,
 }
 
 
@@ -125,25 +118,95 @@ def write_matrix_file(path: str, matrix: np.ndarray):
             fh.write(" ".join(f"{float(v.real)!r},{float(v.imag)!r}" for v in row) + "\n")
 
 
-def _validate_parameters(model: str, parameters: dict):
-    valid = MODEL_PARAMETERS.get(model)
-    if valid is None:
-        raise ConfigError(
-            f"unknown model {model!r}; valid models: {sorted(MODEL_PARAMETERS)}"
-        )
-    unknown = set(parameters) - valid
-    if unknown:
-        raise ConfigError(
-            f"unknown parameter(s) {sorted(unknown)} for model {model!r}; "
-            f"valid parameters: {sorted(valid) or '(none)'}"
-        )
+# Each parser takes a flag's text or the JSON value of its config key and
+# returns the value the runners use; TypeError or ValueError means bad input.
+
+def _count(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"expected an integer, got {type(value).__name__}")
+    if int(value) < 1:
+        raise ValueError("must be >= 1")
+    return int(value)
+
+
+def _float(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise TypeError(f"expected a number, got {type(value).__name__}")
+    number = float(value)
+    if not np.isfinite(number):
+        raise ValueError("must be finite")
+    return number
+
+
+def _tolerance(value) -> float:
+    number = _float(value)
+    if number <= 0:
+        raise ValueError("must be > 0")
+    return number
+
+
+def _path(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a path, got {type(value).__name__}")
+    return value
+
+
+def _choice(*allowed):
+    def parse(value):
+        if value not in allowed:
+            raise ValueError(f"expected one of {list(allowed)}")
+        return value
+    parse.metavar = "{" + ",".join(allowed) + "}"
+    return parse
+
+
+def _cutoffs(value) -> list:
+    """'40,40' or [40, 40]; '32', 32 or [32]."""
+    items = value.split(",") if isinstance(value, str) else value
+    cutoffs = [_count(v) for v in (items if isinstance(items, list) else [items])]
+    if not 1 <= len(cutoffs) <= 2:
+        raise ValueError("expected one or two cutoffs")
+    return cutoffs
+
+
+def _sweep(value) -> tuple:
+    """'g:0:2:81' or ["g", 0, 2, 81]."""
+    parts = value.split(":") if isinstance(value, str) else value
+    if not isinstance(parts, list) or len(parts) != 4 or not isinstance(parts[0], str):
+        raise ValueError("expected PARAM:START:STOP:STEPS")
+    name, start, stop, steps = parts
+    return (name, _float(start), _float(stop), _count(steps))
+
+
+def _parameters(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object of numbers, got {type(value).__name__}")
+    return {name: _float(number) for name, number in value.items()}
+
+
+# config key -> (default, parser, flag help); "parameters" is set by one
+# flag per name in MODEL_PARAMETERS instead of a flag of its own
+OPTIONS = {
+    "model": ("dimer", _choice(*sorted(MODEL_PARAMETERS)), "model family"),
+    "parameters": ({}, _parameters, None),
+    "truncation": ([32], _cutoffs, "per-mode cutoffs, e.g. 32 or 40,40"),
+    "realization": ("position-real", _choice(*(r.value for r in Realization)),
+                    "position operator realization"),
+    "matrix_file": (None, _path, "plain-text matrix (model custom; checks: one more)"),
+    "tol_real": (1e-8, _tolerance, "|Im E| below which a level counts as real"),
+    "tol_cluster": (1e-8, _tolerance, "distance below which eigenvalues pair"),
+    "format": ("json", _choice("json", "csv"), "report format (overlap: json only)"),
+    "out": (None, _path, "write the report here instead of stdout"),
+    "sweep": (None, _sweep, "PARAM:START:STOP:STEPS"),
+    "t_max": (10.0, _float, "end of the overlap time grid"),
+    "n_times": (101, _count, "number of overlap time-grid points"),
+}
 
 
 def build_config(args: argparse.Namespace) -> dict:
-    """Merge defaults < config file < command-line flags."""
-    config = dict(DEFAULTS)
-    config["parameters"] = {}
-
+    """Merge defaults < config file < command-line flags, then run every
+    value through its key's parser; ConfigError on any bad value."""
+    merged = {key: default for key, (default, _, _) in OPTIONS.items()}
     if getattr(args, "config", None):
         try:
             with open(args.config) as fh:
@@ -152,60 +215,55 @@ def build_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"{args.config}: cannot read config: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"{args.config}: config must be a JSON object")
-        unknown = set(file_cfg) - set(DEFAULTS)
+        unknown = set(file_cfg) - set(OPTIONS)
         if unknown:
             raise ConfigError(
                 f"unknown config key(s) {sorted(unknown)}; "
-                f"valid keys: {sorted(DEFAULTS)}"
+                f"valid keys: {sorted(OPTIONS)}"
             )
-        params = file_cfg.pop("parameters", {})
-        config.update(file_cfg)
-        config["parameters"].update(params)
+        merged.update(file_cfg)
+    merged.update({key: getattr(args, key) for key in OPTIONS
+                   if getattr(args, key, None) is not None})
+    flag_parameters = {name: getattr(args, name)
+                       for names in MODEL_PARAMETERS.values() for name in names
+                       if getattr(args, name, None) is not None}
+    if isinstance(merged["parameters"], dict):
+        merged["parameters"] = {**merged["parameters"], **flag_parameters}
 
-    flag_map = {
-        "model": "model", "truncation": "truncation",
-        "realization": "realization", "tol_real": "tol_real",
-        "tol_cluster": "tol_cluster", "format": "format", "out": "out",
-        "sweep": "sweep", "matrix_file": "matrix_file",
-        "t_max": "t_max", "n_times": "n_times",
-    }
-    for attr, key in flag_map.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            config[key] = value
-    for name in ("gamma", "omega1", "omega2", "alpha", "beta", "g", "k"):
-        value = getattr(args, name, None)
-        if value is not None:
-            config["parameters"][name] = value
+    config = {}
+    for key, value in merged.items():
+        default, parse, _ = OPTIONS[key]
+        try:
+            config[key] = None if value is None and default is None else parse(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad {key} {value!r}: {exc}") from exc
 
-    if isinstance(config["truncation"], str):
-        config["truncation"] = [int(tok) for tok in config["truncation"].split(",")]
-    _validate_parameters(config["model"], config["parameters"])
+    valid = MODEL_PARAMETERS[config["model"]]
+    swept = [config["sweep"][0]] if config["sweep"] else []
+    unknown = sorted(set(config["parameters"]).union(swept) - valid)
+    if unknown:
+        raise ConfigError(
+            f"unknown parameter(s) {unknown} for model {config['model']!r}; "
+            f"valid parameters: {sorted(valid) or '(none)'}"
+        )
     if config["model"] == "custom" and not config["matrix_file"]:
         raise ConfigError("model 'custom' requires --matrix-file")
-    if not isinstance(config["n_times"], int) or config["n_times"] < 1:
-        raise ConfigError(f"n_times must be an integer >= 1, got {config['n_times']!r}")
-    if not isinstance(config["t_max"], (int, float)) or not np.isfinite(config["t_max"]):
-        raise ConfigError(f"t_max must be a finite number, got {config['t_max']!r}")
     return config
 
 
-def _realization(config) -> Realization:
-    return Realization(config["realization"])
-
-
 def _pu_params(parameters: dict) -> PUParams:
-    gamma = float(parameters.get("gamma", 1.0))
-    if "alpha" in parameters or "beta" in parameters:
-        return PUParams.from_alpha_beta(
-            gamma, float(parameters.get("alpha", 1.0)),
-            float(parameters.get("beta", 0.0)),
+    gamma = parameters.get("gamma", 1.0)
+    try:
+        if "alpha" in parameters or "beta" in parameters:
+            return PUParams.from_alpha_beta(
+                gamma, parameters.get("alpha", 1.0), parameters.get("beta", 0.0))
+        return PUParams(
+            gamma=gamma,
+            omega1=complex(parameters.get("omega1", 1.0)),
+            omega2=complex(parameters.get("omega2", 2.0)),
         )
-    return PUParams(
-        gamma=gamma,
-        omega1=complex(parameters.get("omega1", 1.0)),
-        omega2=complex(parameters.get("omega2", 2.0)),
-    )
+    except ValueError as exc:
+        raise ConfigError(f"pu parameters {parameters}: {exc}") from exc
 
 
 def build_model(config: dict):
@@ -214,38 +272,19 @@ def build_model(config: dict):
     trunc = config["truncation"]
     params = config["parameters"]
     if model == "dimer":
-        H = dimer_hamiltonian(float(params.get("g", 0.5)), float(params.get("k", 1.0)))
+        try:
+            H = dimer_hamiltonian(params.get("g", 0.5), params.get("k", 1.0))
+        except ValueError as exc:
+            raise ConfigError(f"dimer parameters {params}: {exc}") from exc
         return H, dimer_pt_operator()
-    if model == "harmonic":
-        n = trunc[0]
-        return harmonic_hamiltonian(n, _realization(config)), pt_operator(n, _realization(config))
-    if model == "cubic":
-        n = trunc[0]
-        return cubic_hamiltonian(n, _realization(config)), pt_operator(n, _realization(config))
     if model == "pu":
-        pu = _pu_params(params)
         n1, n2 = (trunc * 2)[:2]
-        return pu_hamiltonian_fock(n1, n2, pu), pu_pt_operator(n1, n2)
+        return pu_hamiltonian_fock(n1, n2, _pu_params(params)), pu_pt_operator(n1, n2)
     if model == "custom":
         return read_matrix_file(config["matrix_file"]), None
-    raise ConfigError(f"unknown model {model!r}")
-
-
-def _classification_dict(buckets) -> dict:
-    return {
-        "real_singles": [float(v) for v in buckets.real_singles],
-        "conjugate_pairs": [
-            [{"re": p.real, "im": p.imag}, {"re": m.real, "im": m.imag}]
-            for p, m in buckets.conjugate_pairs
-        ],
-        "leftovers": [{"re": v.real, "im": v.imag} for v in buckets.leftovers],
-        "defective_clusters": [
-            {"eigenvalue": {"re": e.real, "im": e.imag},
-             "algebraic": alg, "geometric": geo}
-            for e, alg, geo in buckets.defective_clusters
-        ],
-        "warning": buckets.has_warning,
-    }
+    n, realization = trunc[0], Realization(config["realization"])
+    build = cubic_hamiltonian if model == "cubic" else harmonic_hamiltonian
+    return build(n, realization), pt_operator(n, realization)
 
 
 # numerical rank decisions (one SVD per cluster) are only trusted, and
@@ -283,16 +322,28 @@ def run_spectrum(config: dict) -> dict:
     buckets = classify_spectrum(
         system.eigenvalues, tol_real=config["tol_real"],
         tol_cluster=config["tol_cluster"],
-        defective_clusters=defective,
     )
     reality = is_real(H)
     report = {
-        "config": _config_dict(config),
+        "config": config,
         "version": __version__,
         "eigenvalues": [
             {"re": e.real, "im": e.imag} for e in system.eigenvalues
         ],
-        "classification": _classification_dict(buckets),
+        "classification": {
+            "real_singles": [float(v) for v in buckets.real_singles],
+            "conjugate_pairs": [
+                [{"re": p.real, "im": p.imag}, {"re": m.real, "im": m.imag}]
+                for p, m in buckets.conjugate_pairs
+            ],
+            "leftovers": [{"re": v.real, "im": v.imag} for v in buckets.leftovers],
+            "defective_clusters": [
+                {"eigenvalue": {"re": e.real, "im": e.imag},
+                 "algebraic": alg, "geometric": geo}
+                for e, alg, geo in defective
+            ],
+            "warning": buckets.has_warning,
+        },
         "residuals": {
             "right": system.right_residual,
             "left": system.left_residual,
@@ -311,9 +362,7 @@ def run_spectrum(config: dict) -> dict:
 
 
 def _sweep_single(config: dict, name: str, value: float) -> dict:
-    step_cfg = dict(config)
-    step_cfg["parameters"] = dict(config["parameters"])
-    step_cfg["parameters"][name] = value
+    step_cfg = {**config, "parameters": {**config["parameters"], name: value}}
     if config["model"] == "pu":
         # regime scans classify the exact 4x4 dynamical matrix; rank
         # decisions on a large truncated matrix are unreliable at the
@@ -336,15 +385,11 @@ def _sweep_single(config: dict, name: str, value: float) -> dict:
 
 
 def run_sweep(config: dict) -> dict:
-    sweep = config["sweep"]
-    if not sweep:
+    if not config["sweep"]:
         raise ConfigError("sweep command requires --sweep PARAM:START:STOP:STEPS")
-    name, start, stop, steps = sweep
-    if steps < 1:
-        raise ConfigError(f"sweep needs at least one step, got {steps}")
-    _validate_parameters(config["model"], {name: start})
-    values = np.linspace(start, stop, steps)
-    rows = [_sweep_single(config, name, float(v)) for v in values]
+    name, start, stop, steps = config["sweep"]
+    rows = [_sweep_single(config, name, float(v))
+            for v in np.linspace(start, stop, steps)]
 
     bracket = None
     for prev, cur in zip(rows, rows[1:]):
@@ -352,7 +397,7 @@ def run_sweep(config: dict) -> dict:
             bracket = [prev["value"], cur["value"]]
             break
     return {
-        "config": _config_dict(config),
+        "config": config,
         "version": __version__,
         "sweep_parameter": name,
         "steps": rows,
@@ -367,7 +412,7 @@ def run_overlap(config: dict) -> dict:
     rule = selection_rule_check(system, tol=config["tol_real"],
                                 tol_cluster=config["tol_cluster"])
     return {
-        "config": _config_dict(config),
+        "config": config,
         "version": __version__,
         "max_drift": trace.max_drift,
         "method_agreement": trace.method_agreement,
@@ -447,7 +492,7 @@ def run_checks(config: dict) -> dict:
     rule = selection_rule_check(system)
     checks.append(_check("dimer-selection-rule", rule.max_forbidden_overlap, 1e-8))
 
-    if config.get("matrix_file"):
+    if config["matrix_file"]:
         H = read_matrix_file(config["matrix_file"])
         sys_custom = eigendecompose(H)
         evals = sys_custom.eigenvalues
@@ -466,73 +511,52 @@ def run_checks(config: dict) -> dict:
                                  rule.max_forbidden_overlap, 1e-8))
 
     return {
-        "config": _config_dict(config),
+        "config": config,
         "version": __version__,
         "checks": checks,
         "all_ok": all(c["ok"] for c in checks),
     }
 
 
-def _config_dict(config: dict) -> dict:
-    out = {}
-    for key, value in sorted(config.items()):
-        if isinstance(value, tuple):
-            value = list(value)
-        out[key] = value
-    return out
+class _Command(NamedTuple):
+    run: Callable[[dict], dict]
+    help: str
+    # CSV layout: (report list, index column or None, columns); None: JSON only
+    csv: tuple | None
+    ok: Callable[[dict], bool]       # exit code 0 if true, else 1
+    flags: tuple = ()                # config keys with a flag on this command only
+
+
+COMMANDS = {
+    "spectrum": _Command(run_spectrum, "eigenvalues and classification",
+                         ("eigenvalues", "index", ("re", "im")),
+                         lambda report: True),
+    "sweep": _Command(run_sweep, "one-parameter scan",
+                      ("steps", "step", ("value", "n_real", "n_pairs",
+                                         "n_leftover", "max_imag", "defective")),
+                      lambda report: True, flags=("sweep",)),
+    "overlap": _Command(run_overlap, "overlap traces and selection rule", None,
+                        lambda report: report["selection_rule"]["ok"],
+                        flags=("t_max", "n_times")),
+    "checks": _Command(run_checks, "full invariant suite",
+                       ("checks", None, ("name", "residual", "gate", "ok")),
+                       lambda report: report["all_ok"]),
+}
 
 
 def _to_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def _spectrum_csv(report: dict) -> str:
+def _to_csv(report: dict, rows: str, index, columns) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["index", "re", "im"])
-    for idx, ev in enumerate(report["eigenvalues"]):
-        writer.writerow([idx, repr(ev["re"]), repr(ev["im"])])
+    writer.writerow(([index] if index else []) + list(columns))
+    for idx, row in enumerate(report[rows]):
+        # Python floats print as their shortest repr, whatever numpy prints
+        cells = [float(row[c]) if isinstance(row[c], float) else row[c] for c in columns]
+        writer.writerow(([idx] if index else []) + cells)
     return buf.getvalue()
-
-
-def _sweep_csv(report: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["step", "value", "n_real", "n_pairs", "n_leftover",
-                     "max_imag", "defective"])
-    for idx, row in enumerate(report["steps"]):
-        writer.writerow([idx, repr(row["value"]), row["n_real"], row["n_pairs"],
-                         row["n_leftover"], repr(row["max_imag"]),
-                         row["defective"]])
-    return buf.getvalue()
-
-
-def _checks_csv(report: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["name", "residual", "gate", "ok"])
-    for row in report["checks"]:
-        writer.writerow([row["name"], repr(row["residual"]), repr(row["gate"]),
-                         row["ok"]])
-    return buf.getvalue()
-
-
-def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _parse_sweep(spec: str):
-    try:
-        name, start, stop, steps = spec.split(":")
-        return (name, float(start), float(stop), int(steps))
-    except ValueError as exc:
-        raise ConfigError(
-            f"bad sweep spec {spec!r}; expected PARAM:START:STOP:STEPS"
-        ) from exc
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -543,69 +567,41 @@ def make_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    command_only = {key for command in COMMANDS.values() for key in command.flags}
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", help="JSON config file (flags override it)")
-        p.add_argument("--model", choices=sorted(MODEL_PARAMETERS))
-        p.add_argument("--truncation", help="per-mode cutoffs, e.g. 32 or 40,40")
-        p.add_argument("--realization",
-                       choices=[r.value for r in Realization])
-        p.add_argument("--matrix-file", dest="matrix_file")
-        p.add_argument("--tol-real", dest="tol_real", type=float)
-        p.add_argument("--tol-cluster", dest="tol_cluster", type=float)
-        p.add_argument("--format", choices=["json", "csv"])
-        p.add_argument("--out")
-        for name in ("gamma", "omega1", "omega2", "alpha", "beta", "g", "k"):
-            p.add_argument(f"--{name}", type=float)
-
-    p_spec = sub.add_parser("spectrum", help="eigenvalues and classification")
-    add_common(p_spec)
-
-    p_sweep = sub.add_parser("sweep", help="one-parameter scan")
-    add_common(p_sweep)
-    p_sweep.add_argument("--sweep", type=_parse_sweep,
-                         help="PARAM:START:STOP:STEPS")
-
-    p_overlap = sub.add_parser("overlap", help="overlap traces and selection rule")
-    add_common(p_overlap)
-    p_overlap.add_argument("--t-max", dest="t_max", type=float)
-    p_overlap.add_argument("--n-times", dest="n_times", type=int)
-
-    p_checks = sub.add_parser("checks", help="full invariant suite")
-    add_common(p_checks)
+        for key, (_, parse, text) in OPTIONS.items():
+            if text and (key not in command_only or key in command.flags):
+                p.add_argument("--" + key.replace("_", "-"), help=text,
+                               metavar=getattr(parse, "metavar", None))
+        for model, names in MODEL_PARAMETERS.items():
+            for param in sorted(names):
+                p.add_argument(f"--{param}", help=f"{model} model parameter")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     try:
         config = build_config(args)
-        if args.command == "spectrum":
-            report = run_spectrum(config)
-            text = _to_json(report) if config["format"] == "json" else _spectrum_csv(report)
-            _emit(text, config["out"])
-            return 0
-        if args.command == "sweep":
-            report = run_sweep(config)
-            text = _to_json(report) if config["format"] == "json" else _sweep_csv(report)
-            _emit(text, config["out"])
-            return 0
-        if args.command == "overlap":
-            report = run_overlap(config)
-            _emit(_to_json(report), config["out"])
-            return 0 if report["selection_rule"]["ok"] else 1
-        if args.command == "checks":
-            report = run_checks(config)
-            text = _to_json(report) if config["format"] == "json" else _checks_csv(report)
-            _emit(text, config["out"])
-            return 0 if report["all_ok"] else 1
-        parser.error(f"unknown command {args.command!r}")
+        if config["format"] == "csv" and command.csv is None:
+            raise ConfigError(f"{args.command} writes JSON only; drop --format csv")
+        report = command.run(config)
+        text = (_to_json(report) if config["format"] == "json"
+                else _to_csv(report, *command.csv))
+        try:
+            out = open(config["out"], "w") if config["out"] else nullcontext(sys.stdout)
+            with out as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write report: {exc}") from exc
     except BiorthoError as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         sys.stdout.write(_to_json(error))
         return 1
-    return 0
+    return 0 if command.ok(report) else 1
 
 
 if __name__ == "__main__":

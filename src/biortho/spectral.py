@@ -181,14 +181,13 @@ def _rebiorthogonalize_clusters(evals, rvecs, lvecs, flagged,
 
 @dataclass
 class SpectrumClassification:
-    """Partition of eigenvalues into real singles, conjugate pairs,
-    leftovers, and (optionally) defective clusters."""
+    """Partition of eigenvalues into real singles, conjugate pairs and
+    leftovers."""
 
     real_singles: list
     conjugate_pairs: list            # (E, conj-partner), Im > 0 first
     pair_indices: list               # input positions of conjugate_pairs
     leftovers: list                  # unpaired complex beyond tol_cluster
-    defective_clusters: list         # (eigenvalue, alg. mult., geom. mult.)
     tol_real: float
     tol_cluster: float
 
@@ -203,8 +202,7 @@ class SpectrumClassification:
 
 
 def classify_spectrum(eigenvalues, tol_real: float = DEFAULT_TOL_REAL,
-                      tol_cluster: float = DEFAULT_TOL_CLUSTER,
-                      defective_clusters=None) -> SpectrumClassification:
+                      tol_cluster: float = DEFAULT_TOL_CLUSTER) -> SpectrumClassification:
     """Bucket eigenvalues as real / conjugate pairs / leftovers.
 
     Pairs are matched greedily by minimal |E - conj(E')|; an unpaired
@@ -225,28 +223,23 @@ def classify_spectrum(eigenvalues, tol_real: float = DEFAULT_TOL_REAL,
     complex_evs = evs[~real_mask]
     complex_pos = order[~real_mask]
     pairs = []
-    leftovers = []
-    k = len(complex_evs)
-    if k == 1:
-        leftovers.append(complex(complex_evs[0]))
-    elif k > 1:
-        # |E_a - conj(E_b)| is already symmetric in (a, b)
-        dist = np.abs(complex_evs[:, None] - np.conj(complex_evs)[None, :])
-        np.fill_diagonal(dist, np.inf)
-        alive = np.ones(k, dtype=bool)
-        while alive.sum() >= 2:
-            a, b = np.unravel_index(np.argmin(dist), dist.shape)
-            if dist[a, b] >= tol_cluster:
-                break
-            if complex_evs[a].imag < complex_evs[b].imag:
-                a, b = b, a
-            pairs.append(((complex(complex_evs[a]), complex(complex_evs[b])),
-                          (int(complex_pos[a]), int(complex_pos[b]))))
-            for idx in (a, b):
-                alive[idx] = False
-                dist[idx, :] = np.inf
-                dist[:, idx] = np.inf
-        leftovers.extend(complex(e) for e in complex_evs[alive])
+    # |E_a - conj(E_b)| is already symmetric in (a, b)
+    dist = np.abs(complex_evs[:, None] - np.conj(complex_evs)[None, :])
+    np.fill_diagonal(dist, np.inf)
+    alive = np.ones(len(complex_evs), dtype=bool)
+    while alive.sum() >= 2:
+        a, b = np.unravel_index(np.argmin(dist), dist.shape)
+        if dist[a, b] >= tol_cluster:
+            break
+        if complex_evs[a].imag < complex_evs[b].imag:
+            a, b = b, a
+        pairs.append(((complex(complex_evs[a]), complex(complex_evs[b])),
+                      (int(complex_pos[a]), int(complex_pos[b]))))
+        for idx in (a, b):
+            alive[idx] = False
+            dist[idx, :] = np.inf
+            dist[:, idx] = np.inf
+    leftovers = [complex(e) for e in complex_evs[alive]]
     pairs.sort(key=lambda p: (p[0][0].real, p[0][0].imag))
 
     return SpectrumClassification(
@@ -254,7 +247,6 @@ def classify_spectrum(eigenvalues, tol_real: float = DEFAULT_TOL_REAL,
         conjugate_pairs=[values for values, _ in pairs],
         pair_indices=[positions for _, positions in pairs],
         leftovers=sorted(leftovers, key=lambda e: (e.real, e.imag)),
-        defective_clusters=list(defective_clusters or []),
         tol_real=tol_real,
         tol_cluster=tol_cluster,
     )

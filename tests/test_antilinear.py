@@ -222,7 +222,7 @@ def test_spectral_and_nullspace_intertwiners_agree_on_equation():
         pairs = classify_spectrum(system.eigenvalues, tol_real=1e-8 * scale,
                                   tol_cluster=1e-8 * scale).pair_indices
         for M in (antilinear._spectral_intertwiner(system, pairs),
-                  antilinear._nullspace_intertwiner(H, 64)):
+                  antilinear._nullspace_intertwiner(H)):
             assert np.linalg.svd(M / np.linalg.norm(M), compute_uv=False)[-1] > 1e-8
             gap = np.linalg.norm(M @ np.conj(H) - H @ M)
             assert gap < 1e-10 * np.linalg.norm(M) * np.linalg.norm(H)

@@ -241,3 +241,75 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     report = json.loads(out_path.read_text())
     assert report["config"]["model"] == "dimer"
+
+
+@pytest.mark.parametrize("command, columns", [
+    (["spectrum", "--model", "cubic", "--truncation", "12"], (int, float, float)),
+    (["sweep", "--model", "dimer", "--k", "1", "--sweep", "g:0:2:5"],
+     (int, float, int, int, int, float, bool)),
+    (["checks"], (str, float, float, bool)),
+], ids=["spectrum", "sweep", "checks"])
+def test_csv_fields_parse_as_numbers(capsys, command, columns):
+    def parse(kind, text):
+        if kind is bool:
+            assert text in ("True", "False"), text
+            return text == "True"
+        return kind(text)
+
+    code, out = run_cli(capsys, *command, "--format", "csv")
+    assert code == 0
+    rows = out.strip().splitlines()[1:]
+    assert rows
+    for row in rows:
+        fields = row.split(",")
+        assert len(fields) == len(columns), row
+        for kind, text in zip(columns, fields):
+            parse(kind, text)
+
+
+@pytest.mark.parametrize("argv, config, same_as", [
+    pytest.param(["spectrum", "--model", "cubic", "--truncation", "x"], None, None,
+                 id="truncation-not-int"),
+    pytest.param(["spectrum", "--model", "cubic", "--truncation", ""], None, None,
+                 id="truncation-empty"),
+    pytest.param(["spectrum", "--model", "pu"], {"truncation": [8, 8, 8]}, None,
+                 id="truncation-three-cutoffs"),
+    pytest.param(["spectrum", "--model", "cubic"], {"truncation": 5},
+                 ["spectrum", "--model", "cubic", "--truncation", "5"],
+                 id="truncation-json-int"),
+    pytest.param(["sweep", "--model", "dimer", "--k", "1"], {"sweep": "g:0:2:5"},
+                 ["sweep", "--model", "dimer", "--k", "1", "--sweep", "g:0:2:5"],
+                 id="sweep-flag-syntax-in-config"),
+    pytest.param(["spectrum", "--model", "nope"], None, None, id="model-unknown"),
+    pytest.param(["spectrum", "--model", "cubic"], {"realization": "foo"}, None,
+                 id="realization-unknown"),
+    pytest.param(["spectrum"], {"format": "xml"}, None, id="format-unknown"),
+    pytest.param(["spectrum"], {"tol_real": "abc"}, None, id="tol-real-not-number"),
+    pytest.param(["spectrum", "--tol-real", "nan"], None, None, id="tol-real-nan"),
+    pytest.param(["spectrum", "--tol-cluster", "0"], None, None, id="tol-cluster-zero"),
+    pytest.param(["spectrum", "--model", "pu"], {"parameters": {"gamma": "x"}}, None,
+                 id="parameter-not-number"),
+    pytest.param(["spectrum"], {"parameters": [1]}, None, id="parameters-not-object"),
+    pytest.param(["spectrum"], {"out": 5}, None, id="out-not-path"),
+    pytest.param(["spectrum", "--out", "{tmp}/missing/r.json"], None, None,
+                 id="out-unwritable"),
+    pytest.param(["overlap", "--format", "csv"], None, None, id="overlap-csv"),
+    pytest.param(["spectrum", "--model", "dimer", "--g", "-1"], None, None,
+                 id="dimer-negative-gain"),
+    pytest.param(["spectrum", "--model", "pu", "--gamma", "0"], None, None,
+                 id="pu-zero-gamma"),
+])
+def test_outside_input_is_config_error_or_accepted(tmp_path, capsys, argv, config,
+                                                   same_as):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    code, out = run_cli(capsys, *argv)
+    if same_as is None:
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "ConfigError"
+    else:
+        assert (code, out) == run_cli(capsys, *same_as)
+        assert code == 0
