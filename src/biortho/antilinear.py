@@ -20,10 +20,19 @@ from .errors import (
     SignAmbiguityError,
     SingularOperatorError,
 )
-from .spectral import BiorthogonalSystem, classify_spectrum, eigendecompose
+from .spectral import (
+    DEFAULT_TOL_REAL,
+    BiorthogonalSystem,
+    classify_spectrum,
+    eigendecompose,
+)
 
 SYMMETRY_TOL = 1e-10
 PT_NORM_FLOOR = 1e-10
+# build_c_operator's gate on |C² − 1| and |[C, H]| in the real-spectrum regime
+C_OPERATOR_TOL = 1e-8
+# singular values below NULLSPACE_RTOL·σ_max span the intertwiner nullspace
+NULLSPACE_RTOL = 1e-9
 # seeded random nullspace combinations tried after the deterministic scan
 N_RANDOM_CANDIDATES = 64
 
@@ -47,15 +56,10 @@ class AntilinearOp:
             conjugates=self.conjugates != other.conjugates,
         )
 
-    def matrix_action(self, X: np.ndarray) -> np.ndarray:
-        """Adjoint action on an operator: X -> M·conj(X)·M⁻¹ (antilinear case)."""
-        X = np.asarray(X, dtype=complex)
-        Xc = np.conj(X) if self.conjugates else X
-        return self.linear_part @ Xc @ np.linalg.inv(self.linear_part)
 
-
-def identity_op(n: int, conjugates: bool = True) -> AntilinearOp:
-    return AntilinearOp(np.eye(n, dtype=complex), conjugates=conjugates)
+def identity_op(n: int) -> AntilinearOp:
+    """Plain complex conjugation K on C^n."""
+    return AntilinearOp(np.eye(n, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -63,8 +67,8 @@ class SymmetryCheck:
     residual: float
     condition_number: float
 
-    def holds(self, tol: float = SYMMETRY_TOL) -> bool:
-        return self.residual < tol
+    def holds(self) -> bool:
+        return self.residual < SYMMETRY_TOL
 
 
 def commutes_with(op: AntilinearOp, H) -> SymmetryCheck:
@@ -90,11 +94,11 @@ def commutes_with(op: AntilinearOp, H) -> SymmetryCheck:
             f"linear part is numerically singular (sigma_min={sigma_min:.3e})"
         )
     cond = sigma_max / sigma_min
+    Hc = np.conj(H) if op.conjugates else H
     if diagonal:
-        Hc = np.conj(H) if op.conjugates else H
         transformed = d[:, None] * Hc / d[None, :]
     else:
-        transformed = op.matrix_action(H)
+        transformed = M @ Hc @ np.linalg.inv(M)
     h_norm = np.linalg.norm(H)
     residual = float(np.linalg.norm(transformed - H) / (h_norm if h_norm else 1.0))
     return SymmetryCheck(residual=residual, condition_number=cond)
@@ -118,17 +122,21 @@ class RealityReport:
     max_imag: float
 
 
-def is_real(H, tol: float = 1e-12) -> RealityReport:
-    """Entrywise reality test: true iff max |Im H_mn| < tol."""
+def is_real(H) -> RealityReport:
+    """Entrywise reality test: true iff every Im H_mn is exactly 0.
+
+    This is the rule under which ``eigendecompose`` runs real ``dgeev`` and
+    ``overlap_trace`` and ``euclidean_reality`` work in real arithmetic.
+    """
     H = np.asarray(H, dtype=complex)
     max_imag = float(np.max(np.abs(H.imag))) if H.size else 0.0
-    return RealityReport(is_real=max_imag < tol, max_imag=max_imag)
+    return RealityReport(is_real=max_imag == 0.0, max_imag=max_imag)
 
 
-def _nullspace(A: np.ndarray, rtol: float = 1e-9):
+def _nullspace(A: np.ndarray):
     """Right nullspace basis of A via SVD (rows of Vh below the cutoff)."""
     _, s, vh = np.linalg.svd(A)
-    cutoff = rtol * (s[0] if len(s) and s[0] > 0 else 1.0)
+    cutoff = NULLSPACE_RTOL * (s[0] if len(s) and s[0] > 0 else 1.0)
     rank = int(np.sum(s > cutoff))
     return vh[rank:].conj().T
 
@@ -137,8 +145,9 @@ def find_antilinear_symmetry(H, tol: float = 1e-8) -> AntilinearOp:
     """Construct an antilinear symmetry A = M∘K of H, if one exists.
 
     Requires the spectrum to be closed under conjugation within ``tol``
-    (otherwise NoAntilinearSymmetryError). If H is entrywise real the
-    identity is returned directly. Otherwise M is written down from the
+    (otherwise NoAntilinearSymmetryError). If H is entrywise real (every
+    imaginary part exactly 0, see ``is_real``) plain conjugation K is
+    returned directly. Otherwise M is written down from the
     biorthogonal eigensystem H = R·E·L† (Bender & Mannheim, Phys. Lett. A
     374, 1616 (2010)): M = R[:, π]·diag(c)·Lᵀ, where π swaps the two members
     of each conjugate pair and fixes real eigenvalues, so M·conj(R_i) =
@@ -162,7 +171,7 @@ def find_antilinear_symmetry(H, tol: float = 1e-8) -> AntilinearOp:
     H = np.asarray(H, dtype=complex)
     n = H.shape[0]
 
-    if is_real(H, tol=1e-14).is_real:
+    if is_real(H).is_real:
         return identity_op(n)
 
     try:
@@ -239,17 +248,13 @@ def _nullspace_intertwiner(H: np.ndarray) -> np.ndarray:
         coeff = rng.standard_normal(len(mats)) + 1j * rng.standard_normal(len(mats))
         candidates.append(sum(c * m for c, m in zip(coeff, mats)))
 
+    # the basis columns are orthonormal, so no candidate is zero
     best, best_sigma_min = None, -1.0
     for cand in candidates:
-        norm = np.linalg.norm(cand)
-        if norm == 0.0:
-            continue
-        cand = cand / norm
+        cand = cand / np.linalg.norm(cand)
         sigma_min = float(np.linalg.svd(cand, compute_uv=False)[-1])
         if sigma_min > best_sigma_min:
             best, best_sigma_min = cand, sigma_min
-    if best is None:
-        raise ConditioningError("every intertwiner candidate is zero")
     return best
 
 
@@ -271,16 +276,17 @@ def _verified_intertwiner(M: np.ndarray, H: np.ndarray, tol: float) -> Antilinea
     return op
 
 
-def build_c_operator(system: BiorthogonalSystem, pt: AntilinearOp,
-                     tol: float = 1e-8,
-                     tol_real: float = 1e-8) -> np.ndarray:
+def build_c_operator(system: BiorthogonalSystem, pt: AntilinearOp) -> np.ndarray:
     """Spectral C operator: C = Σ_n c_n |R_n><L_n|.
 
-    Real eigenvalues take c_n = sign of the (phase-invariant, bilinear) PT
-    norm (PT·R_n)ᵀ·R_n. Members of a complex conjugate pair take c = +1 for
+    An eigenvalue with |Im E| below DEFAULT_TOL_REAL·max(1, max|E|) counts
+    as real. Real eigenvalues take c_n = sign of the (phase-invariant,
+    bilinear) PT norm (PT·R_n)ᵀ·R_n. Members of a complex conjugate pair take c = +1 for
     Im E > 0 and c = −1 for the partner: that is the unique
     Hamiltonian-commuting involution on the pair sector beyond ±identity,
-    and it reproduces the broken-phase non-commutation of C with PT.
+    and it reproduces the broken-phase non-commutation of C with PT. With
+    no conjugate pair, |C² − 1| and |[C, H]| must stay below
+    C_OPERATOR_TOL (ConditioningError otherwise).
     """
     if not system.is_diagonalizable:
         raise DefectiveSystemError(
@@ -292,7 +298,7 @@ def build_c_operator(system: BiorthogonalSystem, pt: AntilinearOp,
     scale = max(np.max(np.abs(evals)), 1.0)
 
     signs = np.zeros(n)
-    real_mask = np.abs(evals.imag) < tol_real * scale
+    real_mask = np.abs(evals.imag) < DEFAULT_TOL_REAL * scale
     for i in np.nonzero(real_mask)[0]:
         r = system.right_vectors[:, i]
         pt_norm = pt(r).T @ r        # bilinear: invariant under r -> e^{ia} r
@@ -310,14 +316,14 @@ def build_c_operator(system: BiorthogonalSystem, pt: AntilinearOp,
 
     if complex_idx.size == 0:
         # real-spectrum regime: the involution and commutation promises
-        # must hold at the requested tolerance
+        # must hold
         c_scale = max(np.linalg.norm(C), 1.0)
         involution = np.linalg.norm(C @ C - np.eye(n)) / c_scale
         H = system.matrix
         commutation = np.linalg.norm(C @ H - H @ C) / (c_scale * max(scale, 1.0))
-        if max(involution, commutation) > tol:
+        if max(involution, commutation) > C_OPERATOR_TOL:
             raise ConditioningError(
                 f"C operator verification failed: |C^2-1|={involution:.3e}, "
-                f"|[C,H]|={commutation:.3e} exceed tol {tol:.1e}"
+                f"|[C,H]|={commutation:.3e} exceed tol {C_OPERATOR_TOL:.1e}"
             )
     return C

@@ -64,7 +64,12 @@ from .models import (
     pu_hamiltonian_fock,
     pu_pt_operator,
 )
-from .spectral import classify_spectrum, defect_report, eigendecompose
+from .spectral import (
+    DEFECT_CLUSTER_TOL,
+    classify_spectrum,
+    defect_report,
+    eigendecompose,
+)
 
 MODEL_PARAMETERS = {
     "cubic": set(),
@@ -248,6 +253,11 @@ def build_config(args: argparse.Namespace) -> dict:
         )
     if config["model"] == "custom" and not config["matrix_file"]:
         raise ConfigError("model 'custom' requires --matrix-file")
+    if config["model"] in ("cubic", "harmonic") and len(config["truncation"]) != 1:
+        raise ConfigError(
+            f"model {config['model']!r} has one mode and takes one cutoff, "
+            f"got {config['truncation']}"
+        )
     return config
 
 
@@ -292,8 +302,9 @@ def build_model(config: dict):
 DEFECT_SCAN_MAX_DIM = 64
 
 
-def _defective_clusters(H, evals, ctol: float = 1e-6) -> list:
-    """(eigenvalue, algebraic, geometric) for repeated defective clusters."""
+def _defective_clusters(H, evals) -> list:
+    """(eigenvalue, algebraic, geometric) for repeated defective clusters;
+    [] above DEFECT_SCAN_MAX_DIM."""
     if len(evals) > DEFECT_SCAN_MAX_DIM:
         return []
     clusters = []
@@ -302,11 +313,10 @@ def _defective_clusters(H, evals, ctol: float = 1e-6) -> list:
     for i, ev in enumerate(evals):
         if seen[i]:
             continue
-        members = np.abs(evals - ev) < ctol * scale
+        members = np.abs(evals - ev) < DEFECT_CLUSTER_TOL * scale
         seen |= members
         if np.sum(members) > 1:
-            rep = defect_report(H, complex(np.mean(evals[members])),
-                                tol_cluster=ctol)
+            rep = defect_report(H, complex(np.mean(evals[members])))
             if rep.is_defective:
                 clusters.append((rep.eigenvalue, rep.algebraic_multiplicity,
                                  rep.geometric_multiplicity))
@@ -316,9 +326,7 @@ def _defective_clusters(H, evals, ctol: float = 1e-6) -> list:
 def run_spectrum(config: dict) -> dict:
     H, pt = build_model(config)
     system = eigendecompose(H)
-    defective = []
-    if not system.is_diagonalizable:
-        defective = _defective_clusters(H, system.eigenvalues)
+    defective = _defective_clusters(H, system.eigenvalues)
     buckets = classify_spectrum(
         system.eigenvalues, tol_real=config["tol_real"],
         tol_cluster=config["tol_cluster"],
@@ -350,7 +358,7 @@ def run_spectrum(config: dict) -> dict:
             "pairing": system.pairing_residual,
         },
         "flags": {
-            "defective": not system.is_diagonalizable,
+            "defective": not system.is_diagonalizable or bool(defective),
             "entrywise_real": reality.is_real,
             "max_imag_entry": reality.max_imag,
             "broken_phase": bool(buckets.conjugate_pairs),
@@ -588,15 +596,20 @@ def main(argv=None) -> int:
         config = build_config(args)
         if config["format"] == "csv" and command.csv is None:
             raise ConfigError(f"{args.command} writes JSON only; drop --format csv")
-        report = command.run(config)
-        text = (_to_json(report) if config["format"] == "json"
-                else _to_csv(report, *command.csv))
+        # open --out before computing, so an unwritable path fails at once
         try:
             out = open(config["out"], "w") if config["out"] else nullcontext(sys.stdout)
-            with out as fh:
-                fh.write(text)
         except OSError as exc:
             raise ConfigError(f"cannot write report: {exc}") from exc
+        with out as fh:
+            report = command.run(config)
+            text = (_to_json(report) if config["format"] == "json"
+                    else _to_csv(report, *command.csv))
+            try:
+                fh.write(text)
+                fh.flush()
+            except OSError as exc:
+                raise ConfigError(f"cannot write report: {exc}") from exc
     except BiorthoError as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         sys.stdout.write(_to_json(error))

@@ -1,13 +1,16 @@
 """Time evolution, overlap traces, and Euclidean reality checks.
 
-Right states evolve with exp(−iHt); left states pick up exp(iHt) on the
-right of the bra, so every paired overlap <L_i|R_i> is constant in time.
-Overlap traces are computed both literally (matrix exponential products)
-and from the closed-form phase exp(i(E_j − E_i)t); the two must agree on
-the numerically safe time range. For an entrywise-real H, complex
-conjugation K is itself an antilinear symmetry, exp(−iHt) = K·exp(iHt)·K,
-so the backward factor of the literal product is the entrywise conjugate
-of the forward one and costs no second exponential.
+Right states evolve with ``propagator(H, t)`` = exp(−iHt); left states
+pick up exp(iHt) on the right of the bra, so every paired overlap
+<L_i|R_i> is constant in time. Overlap traces run on the uniform grid
+linspace(0, t_max, n_times) and are computed both literally (matrix
+exponential products) and from the closed-form phase exp(i(E_j − E_i)t);
+the two must agree on the numerically safe time range. For an entrywise-
+real H (every imaginary part exactly 0, the one reality rule of the
+package), complex conjugation K is itself an antilinear symmetry,
+exp(−iHt) = K·exp(iHt)·K, so the backward factor of the literal product is
+the entrywise conjugate of the forward one and costs no second
+exponential; ``euclidean_reality`` keeps such an H in real arithmetic.
 """
 
 from __future__ import annotations
@@ -31,6 +34,11 @@ LITERAL_EXPONENT_BOUND = 0.5 * float(np.log(1e-9 / np.finfo(float).eps))
 # manufacture fake drift
 OVERLAP_NOISE_FLOOR = 1e-13
 DEFAULT_N_TIMES = 101
+# euclidean_reality: exp(−H·tau) counts as entrywise real when every
+# |Im| stays below EUCLIDEAN_REALITY_TOL; its trace when |Im tr| stays
+# below TRACE_REALITY_TOL
+EUCLIDEAN_REALITY_TOL = 1e-10
+TRACE_REALITY_TOL = 1e-9
 
 
 def _check_range(rate: float, t: float, what: str):
@@ -42,16 +50,14 @@ def _check_range(rate: float, t: float, what: str):
         )
 
 
-def propagator(H, t: float, system: BiorthogonalSystem | None = None) -> np.ndarray:
+def propagator(H, t: float) -> np.ndarray:
     """Evolution operator exp(−iHt).
 
-    H is factorized once (or ``system`` is reused): a diagonalizable H
-    gets the biorthonormal spectral sum, a defective one
-    ``scipy.linalg.expm``.
+    H is factorized once: a diagonalizable H gets the biorthonormal
+    spectral sum, a defective one ``scipy.linalg.expm``.
     """
     H = np.asarray(H, dtype=complex)
-    if system is None:
-        system = eigendecompose(H)
+    system = eigendecompose(H)
     _check_range(float(np.max(np.abs(system.eigenvalues.imag))), t, "propagator")
     if not system.is_diagonalizable:
         return scipy.linalg.expm(-1j * t * H)
@@ -76,13 +82,11 @@ class OverlapTrace:
     def max_drift(self) -> float:
         return float(np.max(self.drift))
 
-    def pair_labels(self, j: int, i: int):
-        return (complex(self.left_eigenvalues[j]), complex(self.right_eigenvalues[i]))
 
-
-def overlap_trace(system: BiorthogonalSystem, times=None,
-                  t_max: float = 10.0, n_times: int = DEFAULT_N_TIMES) -> OverlapTrace:
-    """Track every left-right overlap over a time grid.
+def overlap_trace(system: BiorthogonalSystem, t_max: float = 10.0,
+                  n_times: int = DEFAULT_N_TIMES) -> OverlapTrace:
+    """Track every left-right overlap over the uniform time grid
+    linspace(0, t_max, n_times); ValueError for an empty grid.
 
     Each entry is computed two ways: from the closed-form phase
     G(0)·exp(i(E_j − E_i)t), which is what gets recorded (it never
@@ -97,11 +101,9 @@ def overlap_trace(system: BiorthogonalSystem, times=None,
             "overlap traces require a diagonalizable system; "
             f"defective indices {system.defective_indices}"
         )
-    if times is None:
-        times = np.linspace(0.0, t_max, n_times)
-    times = np.asarray(times, dtype=float)
-    if times.size == 0:
-        raise ValueError("overlap_trace needs at least one time")
+    if n_times < 1:
+        raise ValueError(f"overlap_trace needs at least one time, got n_times={n_times}")
+    times = np.linspace(0.0, t_max, n_times)
 
     H = system.matrix
     L = system.left_vectors
@@ -152,8 +154,6 @@ def overlap_trace(system: BiorthogonalSystem, times=None,
 class SelectionRuleReport:
     violations: list                 # (j, i, E_j, E_i, |G[j, i]|)
     max_forbidden_overlap: float
-    tol: float
-    tol_cluster: float
 
     @property
     def ok(self) -> bool:
@@ -190,8 +190,6 @@ def selection_rule_check(system: BiorthogonalSystem, tol: float = 1e-8,
     return SelectionRuleReport(
         violations=violations,
         max_forbidden_overlap=float(forbidden_mag.max()) if forbidden_mag.size else 0.0,
-        tol=tol,
-        tol_cluster=tol_cluster,
     )
 
 
@@ -200,19 +198,19 @@ class EuclideanReality:
     is_real: bool
     max_imag: float
     trace_imag: float
-    tau: float
 
-    def trace_is_real(self, tol: float = 1e-9) -> bool:
-        return abs(self.trace_imag) < tol
+    def trace_is_real(self) -> bool:
+        return abs(self.trace_imag) < TRACE_REALITY_TOL
 
 
-def euclidean_reality(H, tau: float, tol: float = 1e-10) -> EuclideanReality:
+def euclidean_reality(H, tau: float) -> EuclideanReality:
     """Entrywise and trace reality of the Euclidean propagator exp(−H·tau).
 
     Entrywise reality holds whenever H itself is real (such an H is kept
     in real arithmetic, so ``max_imag`` is exactly 0); for a Hamiltonian
     with conjugate-paired spectrum only the trace need be real, so both
-    are reported.
+    are reported. ``is_real`` means every |Im| of exp(−H·tau) is below
+    EUCLIDEAN_REALITY_TOL; PropagatorRangeError if it would overflow.
     """
     H = np.asarray(H, dtype=complex)
     if tau <= 0:
@@ -221,17 +219,11 @@ def euclidean_reality(H, tau: float, tol: float = 1e-10) -> EuclideanReality:
         H = H.real
     evals = np.linalg.eigvals(H)
     decay = float(np.max(-evals.real)) if evals.size else 0.0
-    if decay * tau > MAX_EXPONENT:
-        raise PropagatorRangeError(
-            f"exp(−H·tau) overflows at tau={tau:g}; safe tau <= "
-            f"{MAX_EXPONENT / decay:.6g}",
-            safe_time=MAX_EXPONENT / decay,
-        )
+    _check_range(decay, tau, "exp(−H·tau)")
     K = scipy.linalg.expm(-tau * H)
     max_imag = float(np.max(np.abs(K.imag)))
     return EuclideanReality(
-        is_real=max_imag < tol,
+        is_real=max_imag < EUCLIDEAN_REALITY_TOL,
         max_imag=max_imag,
         trace_imag=float(abs(np.trace(K).imag)),
-        tau=tau,
     )

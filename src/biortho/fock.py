@@ -73,11 +73,10 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def truncation_block(matrix: np.ndarray, margin: int = 1) -> np.ndarray:
-    """Principal block with the last ``margin`` rows/columns removed.
+def truncation_block(matrix: np.ndarray) -> np.ndarray:
+    """Principal block with the last row and column removed.
 
-    The cutoff corrupts [a, a†] = 1 only in the trailing corner, so
+    The cutoff corrupts [a, a†] = 1 only in the last diagonal entry, so
     commutator identities are asserted on this block.
     """
-    n = matrix.shape[0]
-    return matrix[: n - margin, : n - margin]
+    return matrix[:-1, :-1]

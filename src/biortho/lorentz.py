@@ -26,6 +26,9 @@ SIGMA_2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_3 = np.array([[1, 0], [0, -1]], dtype=complex)
 
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
+# singular values at or below CONSTRAINT_RTOL·σ_max span the
+# charge-conjugation solution space
+CONSTRAINT_RTOL = 1e-10
 
 
 class BasisName(Enum):
@@ -151,7 +154,7 @@ def coordinate_inversion() -> np.ndarray:
     return out
 
 
-def charge_conjugation_matrix(basis: GammaBasis, rtol: float = 1e-10):
+def charge_conjugation_matrix(basis: GammaBasis):
     """Solve C⁻¹γ^μC = −(γ^μ)ᵀ for all μ.
 
     The constraint is the 64-equation linear system γ^μC + C(γ^μ)ᵀ = 0
@@ -165,7 +168,7 @@ def charge_conjugation_matrix(basis: GammaBasis, rtol: float = 1e-10):
     rows = [np.kron(eye4, g) + np.kron(g, eye4) for g in basis.gammas]
     A = np.vstack(rows)
     _, s, vh = np.linalg.svd(A)
-    cutoff = rtol * s[0]
+    cutoff = CONSTRAINT_RTOL * s[0]
     null_dim = int(np.sum(s <= cutoff))
     if null_dim == 0:
         raise ConstraintSolveError(

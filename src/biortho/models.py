@@ -81,10 +81,7 @@ def grid_eigenvalues(potential, grid_points: int, box_half_width: float,
 @dataclass
 class CubicOracleResult:
     eigenvalues: np.ndarray
-    max_imag_low: float              # |Im| bound over the returned eigenvalues
     boundary_shift: float            # ground-state move under box doubling
-    grid_points: int
-    box_half_width: float
 
 
 def cubic_oracle(grid_points: int = 2000, box_half_width: float = 8.0,
@@ -109,13 +106,7 @@ def cubic_oracle(grid_points: int = 2000, box_half_width: float = 8.0,
                 f"ground state moved {boundary_shift:.3e} under box doubling; "
                 "enlarge box_half_width or refine the grid"
             )
-    return CubicOracleResult(
-        eigenvalues=evals,
-        max_imag_low=float(np.max(np.abs(evals.imag))),
-        boundary_shift=boundary_shift,
-        grid_points=grid_points,
-        box_half_width=box_half_width,
-    )
+    return CubicOracleResult(eigenvalues=evals, boundary_shift=boundary_shift)
 
 
 @dataclass(frozen=True)
@@ -177,8 +168,6 @@ SYMPLECTIC_FORM = np.block([
 class QuadraticModel:
     """H = ½ ξᵀSξ with ξ = (x, z, p_x, p_z) and dynamical matrix M = J·S."""
 
-    coefficient_matrix: np.ndarray
-    symplectic_form: np.ndarray
     dynamical_matrix: np.ndarray
 
     def eigenfrequencies(self) -> np.ndarray:
@@ -204,11 +193,7 @@ def pu_dynamical_matrix(params: PUParams) -> QuadraticModel:
         [0.0, 0.0, 1.0 / g, 0.0],
         [1.0, 0.0, 0.0, 0.0],
     ])
-    return QuadraticModel(
-        coefficient_matrix=S,
-        symplectic_form=SYMPLECTIC_FORM.copy(),
-        dynamical_matrix=SYMPLECTIC_FORM @ S,
-    )
+    return QuadraticModel(dynamical_matrix=SYMPLECTIC_FORM @ S)
 
 
 def pu_spectrum_formula(params: PUParams, n1_max: int, n2_max: int) -> np.ndarray:
@@ -267,8 +252,7 @@ def pu_mode_scales(params: PUParams) -> tuple[float, float]:
 
 def pu_hamiltonian_fock(n1: int, n2: int, params: PUParams,
                         realizations=(Realization.POSITION_REAL,
-                                      Realization.POSITION_IMAGINARY),
-                        scales: tuple[float, float] | None = None) -> np.ndarray:
+                                      Realization.POSITION_IMAGINARY)) -> np.ndarray:
     """Two-mode truncated matrix of the PU Hamiltonian, as a read-only ndarray.
 
     The x mode is the slow Kronecker index and the z mode the fast one (the
@@ -276,13 +260,12 @@ def pu_hamiltonian_fock(n1: int, n2: int, params: PUParams,
     Each term is a product of per-mode polynomials taken at cutoff n1 or n2
     and Kronecker-multiplied last, e.g. p_z·x = x ⊗ p_z. With the default
     realizations the matrix is entrywise real and its low-lying eigenvalues
-    converge to the level formula as the cutoffs grow.
+    converge to the level formula as the cutoffs grow. The basis length
+    scales are ``pu_mode_scales(params)``.
     """
     if n1 < 8 or n2 < 8:
         raise InvalidCutoffError(f"PU cutoffs must be >= 8, got ({n1}, {n2})")
-    if scales is None:
-        scales = pu_mode_scales(params)
-    sx, sz = scales
+    sx, sz = pu_mode_scales(params)
 
     x, px = _scaled_x_mode(n1, sx, realizations[0])
     z, pz = _scaled_z_mode(n2, sz, realizations[1])
@@ -297,21 +280,16 @@ def pu_hamiltonian_fock(n1: int, n2: int, params: PUParams,
     return H
 
 
-def pu_pt_operator(n1: int, n2: int,
-                   realizations=(Realization.POSITION_REAL,
-                                 Realization.POSITION_IMAGINARY)) -> AntilinearOp:
-    """Composite PT for the PU assembly.
+def pu_pt_operator(n1: int, n2: int) -> AntilinearOp:
+    """Composite PT for the default ``pu_hamiltonian_fock`` assembly (real x,
+    imaginary-z contour).
 
     Under PT the oscillator coordinate is odd (x → −x, p_x → p_x) while
-    the z coordinate is even (z → z, p_z → −p_z); per mode that is parity
-    where conjugation alone gets the sign wrong, identity where it does
-    not, mirrored between the two assignments.
+    the z coordinate is even (z → z, p_z → −p_z). Conjugation alone flips
+    the real x's momentum and the contour z itself, so each mode needs
+    parity on top: PT = (P ⊗ P)∘K.
     """
-    x_part = parity(n1) if realizations[0] is Realization.POSITION_REAL \
-        else np.eye(n1, dtype=complex)
-    z_part = parity(n2) if realizations[1] is Realization.POSITION_IMAGINARY \
-        else np.eye(n2, dtype=complex)
-    return AntilinearOp(np.kron(x_part, z_part))
+    return AntilinearOp(np.kron(parity(n1), parity(n2)))
 
 
 def dimer_hamiltonian(g: float, k: float) -> np.ndarray:

@@ -30,6 +30,14 @@ from .errors import ConvergenceError
 DEFAULT_TOL = 1e-9
 DEFAULT_TOL_REAL = 1e-8
 DEFAULT_TOL_CLUSTER = 1e-8
+# relative eigenvalue distance below which geev's left/right vectors of a
+# cluster are re-biorthogonalized
+DEGENERACY_TOL = 1e-8
+# defect_report: eigenvalues within DEFECT_CLUSTER_TOL·max(1, |E|) of E
+# count towards its algebraic multiplicity; singular values of H − E·I above
+# DEFECT_RANK_TOL·||H|| towards the rank
+DEFECT_CLUSTER_TOL = 1e-6
+DEFECT_RANK_TOL = 1e-10
 # an index whose condition number exceeds 1/OVERLAP_FLOOR is defective (for
 # the unit geev vectors: |<L_i|R_i>| below the floor)
 OVERLAP_FLOOR = 1e-10
@@ -148,8 +156,7 @@ def _matmul(A, X) -> np.ndarray:
     return (A @ np.ascontiguousarray(X).view(float)).view(complex)
 
 
-def _rebiorthogonalize_clusters(evals, rvecs, lvecs, flagged,
-                                ctol: float = 1e-8) -> list:
+def _rebiorthogonalize_clusters(evals, rvecs, lvecs, flagged) -> list:
     """Fix cross-overlaps inside (near-)degenerate eigenvalue clusters.
 
     geev back-transforms each left and right eigenvector on its own, so
@@ -165,7 +172,7 @@ def _rebiorthogonalize_clusters(evals, rvecs, lvecs, flagged,
     start = 0
     while start < n:
         stop = start + 1
-        while stop < n and abs(evals[stop] - evals[stop - 1]) < ctol * scale:
+        while stop < n and abs(evals[stop] - evals[stop - 1]) < DEGENERACY_TOL * scale:
             stop += 1
         block = slice(start, stop)
         if stop - start > 1 and not flagged[block].any():
@@ -188,8 +195,6 @@ class SpectrumClassification:
     conjugate_pairs: list            # (E, conj-partner), Im > 0 first
     pair_indices: list               # input positions of conjugate_pairs
     leftovers: list                  # unpaired complex beyond tol_cluster
-    tol_real: float
-    tol_cluster: float
 
     @property
     def has_warning(self) -> bool:
@@ -247,8 +252,6 @@ def classify_spectrum(eigenvalues, tol_real: float = DEFAULT_TOL_REAL,
         conjugate_pairs=[values for values, _ in pairs],
         pair_indices=[positions for _, positions in pairs],
         leftovers=sorted(leftovers, key=lambda e: (e.real, e.imag)),
-        tol_real=tol_real,
-        tol_cluster=tol_cluster,
     )
 
 
@@ -257,20 +260,18 @@ class DefectReport:
     eigenvalue: complex
     algebraic_multiplicity: int
     geometric_multiplicity: int
-    min_singular_value: float
 
     @property
     def is_defective(self) -> bool:
         return self.geometric_multiplicity < self.algebraic_multiplicity
 
 
-def defect_report(H, eigenvalue, tol: float = 1e-10,
-                  tol_cluster: float = 1e-6) -> DefectReport:
+def defect_report(H, eigenvalue) -> DefectReport:
     """Algebraic/geometric multiplicity of ``eigenvalue`` in H.
 
     Geometric multiplicity is n − rank(H − E·I), with rank decided by
-    singular values above tol·||H||; algebraic multiplicity counts
-    eigenvalues within tol_cluster·max(1, |E|) of E.
+    singular values above DEFECT_RANK_TOL·||H||; algebraic multiplicity
+    counts eigenvalues within DEFECT_CLUSTER_TOL·max(1, |E|) of E.
     """
     H = np.asarray(H, dtype=complex)
     n = H.shape[0]
@@ -278,16 +279,15 @@ def defect_report(H, eigenvalue, tol: float = 1e-10,
     scale = max(np.linalg.norm(H, 2), 1.0)
 
     sigma = np.linalg.svd(H - E * np.eye(n), compute_uv=False)
-    rank = int(np.sum(sigma > tol * scale))
+    rank = int(np.sum(sigma > DEFECT_RANK_TOL * scale))
     geometric = n - rank
 
     evals = np.linalg.eigvals(H)
-    cluster_radius = tol_cluster * max(1.0, abs(E))
+    cluster_radius = DEFECT_CLUSTER_TOL * max(1.0, abs(E))
     algebraic = int(np.sum(np.abs(evals - E) < cluster_radius))
 
     return DefectReport(
         eigenvalue=E,
         algebraic_multiplicity=algebraic,
         geometric_multiplicity=geometric,
-        min_singular_value=float(sigma[-1]),
     )

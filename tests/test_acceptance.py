@@ -230,13 +230,13 @@ def test_criterion_08_euclidean_reality():
     for name, H in real_models:
         assert is_real(H).is_real, name
         for tau in (0.1, 1.0, 5.0):
-            report = euclidean_reality(H, tau, tol=1e-10)
+            report = euclidean_reality(H, tau)
             assert report.is_real, (name, tau)
             worst = max(worst, report.max_imag)
 
-    broken = euclidean_reality(dimer_hamiltonian(1.0, 0.5), 1.0, tol=1e-10)
+    broken = euclidean_reality(dimer_hamiltonian(1.0, 0.5), 1.0)
     assert not broken.is_real
-    assert broken.trace_is_real(1e-9)
+    assert broken.trace_is_real()
 
     _report(8, "Euclidean reality", worst_entry_imag=worst,
             broken_trace_imag=broken.trace_imag,

@@ -111,6 +111,15 @@ def test_is_real_reports():
     assert is_real(harmonic_hamiltonian(16)).is_real
 
 
+def test_is_real_means_every_imaginary_part_is_zero():
+    # the rule under which eigendecompose runs real dgeev: any nonzero
+    # imaginary part, however small, makes H complex
+    H = harmonic_hamiltonian(8) + 1e-15j * np.eye(8)
+    report = is_real(H)
+    assert not report.is_real
+    assert report.max_imag == 1e-15
+
+
 def test_find_symmetry_real_matrix_returns_identity():
     rng = np.random.default_rng(4)
     H = rng.standard_normal((6, 6))

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from biortho import cli
 from biortho.cli import main, read_matrix_file, write_matrix_file
+from biortho.models import PUParams, pu_dynamical_matrix
 
 
 def run_cli(capsys, *argv):
@@ -87,6 +89,25 @@ def test_sweep_pu_beta_scan_uses_dynamical_matrix(capsys):
     assert rows[0]["defective"]              # Jordan block at beta = 0
     assert all(row["n_pairs"] == 2 for row in rows[1:])
     assert not any(row["defective"] for row in rows[1:])
+
+
+def test_spectrum_and_sweep_agree_on_pu_exceptional_point(tmp_path, capsys):
+    # alpha = 1, beta = 0: Jordan blocks at ±i whose condition numbers stay
+    # below the eigendecompose flag; the cluster scan still finds them
+    M = pu_dynamical_matrix(PUParams.from_alpha_beta(1.0, 1.0, 0.0)).dynamical_matrix
+    path = tmp_path / "ep.txt"
+    write_matrix_file(path, M)
+    code, out = run_cli(capsys, "spectrum", "--model", "custom",
+                        "--matrix-file", str(path))
+    assert code == 0
+    report = json.loads(out)
+    assert report["flags"]["defective"]
+    clusters = report["classification"]["defective_clusters"]
+    assert [(c["algebraic"], c["geometric"]) for c in clusters] == [(2, 1), (2, 1)]
+    assert sorted(c["eigenvalue"]["im"] for c in clusters) == pytest.approx([-1.0, 1.0])
+    _, out = run_cli(capsys, "sweep", "--model", "pu", "--alpha", "1",
+                     "--sweep", "beta:0:0:1")
+    assert json.loads(out)["steps"][0]["defective"]
 
 
 def test_sweep_single_step_degenerates_to_spectrum(capsys):
@@ -243,6 +264,20 @@ def test_output_file(tmp_path, capsys):
     assert report["config"]["model"] == "dimer"
 
 
+def test_unwritable_out_fails_before_computing(tmp_path, capsys, monkeypatch):
+    def forbidden(config):
+        raise AssertionError("runner called although --out cannot be written")
+
+    monkeypatch.setitem(cli.COMMANDS, "spectrum",
+                        cli.COMMANDS["spectrum"]._replace(run=forbidden))
+    code, out = run_cli(capsys, "spectrum", "--out",
+                        str(tmp_path / "missing" / "r.json"))
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ConfigError"
+    assert error["message"].startswith("cannot write report: ")
+
+
 @pytest.mark.parametrize("command, columns", [
     (["spectrum", "--model", "cubic", "--truncation", "12"], (int, float, float)),
     (["sweep", "--model", "dimer", "--k", "1", "--sweep", "g:0:2:5"],
@@ -274,6 +309,10 @@ def test_csv_fields_parse_as_numbers(capsys, command, columns):
                  id="truncation-empty"),
     pytest.param(["spectrum", "--model", "pu"], {"truncation": [8, 8, 8]}, None,
                  id="truncation-three-cutoffs"),
+    pytest.param(["spectrum", "--model", "harmonic", "--truncation", "6,40"], None, None,
+                 id="harmonic-two-cutoffs"),
+    pytest.param(["spectrum", "--model", "cubic"], {"truncation": [10, 50]}, None,
+                 id="cubic-two-cutoffs"),
     pytest.param(["spectrum", "--model", "cubic"], {"truncation": 5},
                  ["spectrum", "--model", "cubic", "--truncation", "5"],
                  id="truncation-json-int"),

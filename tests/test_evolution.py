@@ -57,22 +57,6 @@ def test_propagator_range_error_reports_safe_time():
     assert np.isclose(excinfo.value.safe_time, 7.0)
 
 
-def test_propagator_accepts_precomputed_system():
-    H = dimer_hamiltonian(0.5, 1.0)
-    system = eigendecompose(H)
-    direct = propagator(H, 1.3)
-    reused = propagator(H, 1.3, system=system)
-    assert np.array_equal(direct, reused)
-
-
-def test_overlap_trace_pair_labels_accessor():
-    system = eigendecompose(np.diag([1.0, 2.0]))
-    trace = overlap_trace(system, t_max=1.0, n_times=3)
-    ej, ei = trace.pair_labels(0, 1)
-    assert ej == trace.left_eigenvalues[0]
-    assert ei == trace.right_eigenvalues[1]
-
-
 def test_overlap_trace_orthonormal_case():
     system = eigendecompose(np.diag([1.0, 2.0]))
     trace = overlap_trace(system, t_max=10.0)
@@ -108,7 +92,7 @@ def test_overlap_trace_rejects_defective():
 
 def test_overlap_trace_rejects_empty_time_grid():
     with pytest.raises(ValueError):
-        overlap_trace(eigendecompose(np.diag([1.0, 2.0])), times=[])
+        overlap_trace(eigendecompose(np.diag([1.0, 2.0])), n_times=0)
 
 
 def test_overlap_trace_drift_across_model_suite():
@@ -253,7 +237,7 @@ def test_euclidean_reality_conjugate_pair_trace_only():
     report = euclidean_reality(np.diag([1j, -1j]), 1.0)
     assert not report.is_real                 # entries e^{∓i} are complex
     assert report.max_imag > 0.5
-    assert report.trace_is_real(1e-12)        # trace is 2 cos(1)
+    assert abs(report.trace_imag) < 1e-12      # trace is 2 cos(1)
 
 
 def test_reality_propagates_to_euclidean_propagator():
@@ -265,7 +249,7 @@ def test_reality_propagates_to_euclidean_propagator():
     for H in models:
         assert np.max(np.abs(np.asarray(H).imag)) == 0.0
         for tau in (0.1, 1.0, 5.0):
-            assert euclidean_reality(H, tau, tol=1e-10).is_real
+            assert euclidean_reality(H, tau).is_real
 
 
 def test_euclidean_reality_real_h_stays_real(monkeypatch):
