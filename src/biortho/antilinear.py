@@ -126,7 +126,7 @@ def is_real(H) -> RealityReport:
     """Entrywise reality test: true iff every Im H_mn is exactly 0.
 
     This is the rule under which ``eigendecompose`` runs real ``dgeev`` and
-    ``overlap_trace`` and ``euclidean_reality`` work in real arithmetic.
+    ``euclidean_reality`` works in real arithmetic.
     """
     H = np.asarray(H, dtype=complex)
     max_imag = float(np.max(np.abs(H.imag))) if H.size else 0.0

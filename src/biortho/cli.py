@@ -13,7 +13,7 @@ Subcommands:
 Settings merge ``OPTIONS`` defaults < a ``--config`` JSON file < flags. A
 config key takes its flag's syntax or the JSON equivalent ("40,40" or
 [40, 40]) through the same parser; any bad value prints a JSON
-``ConfigError`` and exits 1, as does a failed check or selection rule.
+``ConfigError`` and exits 1, as does a failed check or overlap gate.
 Exit code 2 is argparse's, for structural errors such as an unknown flag.
 
 Reports are JSON (sorted keys, shortest round-trip floats, hence
@@ -42,7 +42,7 @@ from .antilinear import (
     is_real,
 )
 from .errors import BiorthoError
-from .evolution import euclidean_reality, overlap_trace, selection_rule_check
+from .evolution import AGREEMENT_GATE, euclidean_reality, overlap_trace, selection_rule_check
 from .fock import Realization, commutator, parity, position_momentum, truncation_block
 from .lorentz import (
     charge_conjugation_matrix,
@@ -66,6 +66,7 @@ from .models import (
 )
 from .spectral import (
     DEFECT_CLUSTER_TOL,
+    _clusters,
     classify_spectrum,
     defect_report,
     eigendecompose,
@@ -307,20 +308,11 @@ def _defective_clusters(H, evals) -> list:
     [] above DEFECT_SCAN_MAX_DIM."""
     if len(evals) > DEFECT_SCAN_MAX_DIM:
         return []
-    clusters = []
     scale = max(float(np.max(np.abs(evals))), 1.0)
-    seen = np.zeros(len(evals), dtype=bool)
-    for i, ev in enumerate(evals):
-        if seen[i]:
-            continue
-        members = np.abs(evals - ev) < DEFECT_CLUSTER_TOL * scale
-        seen |= members
-        if np.sum(members) > 1:
-            rep = defect_report(H, complex(np.mean(evals[members])))
-            if rep.is_defective:
-                clusters.append((rep.eigenvalue, rep.algebraic_multiplicity,
-                                 rep.geometric_multiplicity))
-    return clusters
+    reports = [defect_report(H, complex(np.mean(evals[members])))
+               for members in _clusters(evals, DEFECT_CLUSTER_TOL * scale)]
+    return [(r.eigenvalue, r.algebraic_multiplicity, r.geometric_multiplicity)
+            for r in reports if r.is_defective]
 
 
 def run_spectrum(config: dict) -> dict:
@@ -544,7 +536,8 @@ COMMANDS = {
                                          "n_leftover", "max_imag", "defective")),
                       lambda report: True, flags=("sweep",)),
     "overlap": _Command(run_overlap, "overlap traces and selection rule", None,
-                        lambda report: report["selection_rule"]["ok"],
+                        lambda report: (report["selection_rule"]["ok"]
+                                        and report["method_agreement"] < AGREEMENT_GATE),
                         flags=("t_max", "n_times")),
     "checks": _Command(run_checks, "full invariant suite",
                        ("checks", None, ("name", "residual", "gate", "ok")),

@@ -2,15 +2,9 @@
 
 Right states evolve with ``propagator(H, t)`` = exp(−iHt); left states
 pick up exp(iHt) on the right of the bra, so every paired overlap
-<L_i|R_i> is constant in time. Overlap traces run on the uniform grid
-linspace(0, t_max, n_times) and are computed both literally (matrix
-exponential products) and from the closed-form phase exp(i(E_j − E_i)t);
-the two must agree on the numerically safe time range. For an entrywise-
-real H (every imaginary part exactly 0, the one reality rule of the
-package), complex conjugation K is itself an antilinear symmetry,
-exp(−iHt) = K·exp(iHt)·K, so the backward factor of the literal product is
-the entrywise conjugate of the forward one and costs no second
-exponential; ``euclidean_reality`` keeps such an H in real arithmetic.
+<L_i|R_i> is constant in time. Overlap traces follow the closed-form phase
+exp(i(E_j − E_i)t) and check the eigensystem behind it by stepping the
+eigenvectors literally; ``euclidean_reality`` keeps a real H real.
 """
 
 from __future__ import annotations
@@ -25,13 +19,14 @@ from .spectral import BiorthogonalSystem, eigendecompose
 
 # np.exp overflows just above 709; keep headroom
 MAX_EXPONENT = 700.0
-# the literal product exp(iHt)·exp(−iHt) cancels e^{+gt} against e^{-gt}
-# only to a relative eps·e^{2gt}; past gt = 0.5·ln(1e-9/eps) ≈ 7.66 that
-# noise would exceed the 1e-9 dual-method gate, so the closed form takes over
-LITERAL_EXPONENT_BOUND = 0.5 * float(np.log(1e-9 / np.finfo(float).eps))
+# gate on OverlapTrace.method_agreement
+AGREEMENT_GATE = 1e-9
+# the roundoff of stepping R_k = exp(−iHΔt)·R_{k−1} grows with a mode's
+# e^{gt}: 4e-12 to 4.4e-11 at gt = 0.5·ln(AGREEMENT_GATE/eps) ≈ 7.66, where
+# the check stops (dimer, PU 8,8 pairs, cubic 12 and 16), near the gate by 12
+LITERAL_EXPONENT_BOUND = 0.5 * float(np.log(AGREEMENT_GATE / np.finfo(float).eps))
 # overlap entries below this (relative) level are roundoff seeds of exact
-# zeros; propagating them through a growing closed-form phase would
-# manufacture fake drift
+# zeros, which a growing closed-form phase would turn into fake drift
 OVERLAP_NOISE_FLOOR = 1e-13
 DEFAULT_N_TIMES = 101
 # euclidean_reality: exp(−H·tau) counts as entrywise real when every
@@ -66,21 +61,41 @@ def propagator(H, t: float) -> np.ndarray:
     return (system.right_vectors * phases) @ system.left_vectors.conj().T
 
 
+def _closed_form(G0, E, times):
+    """Nonzero entries (``np.nonzero`` order) of G0·exp(i(E_j − E_i)t) per time,
+    the exponent's real part capped at MAX_EXPONENT so it never overflows."""
+    rows, cols = np.nonzero(G0)
+    seeds = G0[rows, cols]
+    exponent = 1j * (E[rows] - E[cols])
+    for t in times:
+        expo = exponent * t
+        yield seeds * np.exp(np.minimum(expo.real, MAX_EXPONENT) + 1j * expo.imag)
+
+
 @dataclass
 class OverlapTrace:
     """G[j, i](t) = <L_j(t)|R_i(t)> on a time grid, with drift statistics."""
 
     times: np.ndarray
-    overlaps: np.ndarray             # shape (n_times, n, n)
+    initial_overlaps: np.ndarray     # G(0), entries below the noise floor zeroed
     right_eigenvalues: np.ndarray    # E_i labels (columns)
     left_eigenvalues: np.ndarray     # E_j labels (rows)
     drift: np.ndarray                # max_t |G(t) - G(0)| per (j, i)
-    method_agreement: float          # max |literal - closed form| on safe range
-    literal_time_bound: float        # literal products used for |t| below this
+    method_agreement: float          # max |stepped - closed-form| eigenvectors
+    literal_time_bound: float        # stepped evolution checked for |t| below this
 
     @property
     def max_drift(self) -> float:
         return float(np.max(self.drift))
+
+    @property
+    def overlaps(self) -> np.ndarray:
+        """G(t) at every grid time, shape (n_times, n, n), built on each read."""
+        G0 = self.initial_overlaps
+        cube = np.zeros((len(self.times), *G0.shape), dtype=complex)
+        for G, entries in zip(cube, _closed_form(G0, self.right_eigenvalues, self.times)):
+            G[np.nonzero(G0)] = entries
+        return cube
 
 
 def overlap_trace(system: BiorthogonalSystem, t_max: float = 10.0,
@@ -88,13 +103,12 @@ def overlap_trace(system: BiorthogonalSystem, t_max: float = 10.0,
     """Track every left-right overlap over the uniform time grid
     linspace(0, t_max, n_times); ValueError for an empty grid.
 
-    Each entry is computed two ways: from the closed-form phase
-    G(0)·exp(i(E_j − E_i)t), which is what gets recorded (it never
-    overflows), and literally as <L_j(0)|exp(iHt)·exp(−iHt)|R_i(0)> with
-    ``scipy.linalg.expm`` for the times where that product's cancellation
-    noise eps·e^{2gt} stays below the 1e-9 agreement gate. For entrywise-real
-    H the backward factor exp(−iHt) is taken as conj(exp(iHt)), since
-    exp(−iHt) = K·exp(iHt)·K; complex H gets a second ``expm``.
+    Drift is taken in closed form per nonzero entry of the noise-floored
+    G(0); no array over the grid is stored. ``method_agreement`` is the
+    largest gap between the stepped R_k = U·R_{k−1}, L_k = V·L_{k−1}
+    (U = exp(−iHΔt), V = exp(−iH†Δt): two ``scipy.linalg.expm`` calls) and
+    R·diag(e^{−iEt}), L·diag(e^{−i·conj(E)·t}) at the grid times |t| <=
+    ``literal_time_bound``, 0 when only t = 0 is checked.
     """
     if not system.is_diagonalizable:
         raise DefectiveSystemError(
@@ -105,49 +119,38 @@ def overlap_trace(system: BiorthogonalSystem, t_max: float = 10.0,
         raise ValueError(f"overlap_trace needs at least one time, got n_times={n_times}")
     times = np.linspace(0.0, t_max, n_times)
 
-    H = system.matrix
-    L = system.left_vectors
-    R = system.right_vectors
+    E = system.eigenvalues
     G0 = system.overlap_matrix()
-    # entries this far below the paired overlaps are noise on exact zeros
+    # zeroed, noise on exact zeros stays zero however fast its phase grows
     floor = OVERLAP_NOISE_FLOOR * float(np.max(np.abs(G0)))
     G0 = np.where(np.abs(G0) < floor, 0.0, G0)
 
-    # exp(−iHt) = K·exp(iHt)·K for entrywise-real H: one expm per step
-    real_H = not np.any(H.imag)
-    rate = float(np.max(np.abs(system.eigenvalues.imag)))
-    literal_bound = np.inf if rate == 0.0 else LITERAL_EXPONENT_BOUND / rate
-
-    # closed form: phase[j, i](t) = exp(i(E_j - E_i) t); zero seeds stay
-    # zero regardless of the phase's growth, and surviving growing entries
-    # are capped at the overflow bound instead of turning inf
-    E = system.eigenvalues
-    exponent = 1j * (E[:, None] - E[None, :])
-    exponent = np.where(G0 == 0.0, 0.0, exponent)
-    overlaps = np.empty((len(times), *G0.shape), dtype=complex)
+    entries = _closed_form(G0, E, times)
+    start = next(entries)
+    peak = np.zeros(len(start))
+    for values in entries:
+        peak = np.maximum(peak, np.abs(values - start))
     drift = np.zeros(G0.shape)
-    agreement = 0.0
-    for k, t in enumerate(times):
-        expo = exponent * t
-        expo = np.minimum(expo.real, MAX_EXPONENT) + 1j * expo.imag
-        overlaps[k] = G0 * np.exp(expo)
-        drift = np.maximum(drift, np.abs(overlaps[k] - overlaps[0]))
-        if abs(t) <= literal_bound:
-            forward = scipy.linalg.expm(1j * t * H)
-            backward = (forward.conj() if real_H
-                        else scipy.linalg.expm(-1j * t * H))
-            literal = L.conj().T @ forward @ backward @ R
-            agreement = max(agreement, float(np.max(np.abs(literal - overlaps[k]))))
+    drift[np.nonzero(G0)] = peak
 
-    return OverlapTrace(
-        times=times,
-        overlaps=overlaps,
-        right_eigenvalues=system.eigenvalues.copy(),
-        left_eigenvalues=system.left_eigenvalues.copy(),
-        drift=drift,
-        method_agreement=agreement,
-        literal_time_bound=float(literal_bound),
-    )
+    rate = float(np.max(np.abs(E.imag)))
+    literal_bound = np.inf if rate == 0.0 else LITERAL_EXPONENT_BOUND / rate
+    # |t| grows along the grid, so the checked times are a prefix of it
+    checked = times[1:int(np.count_nonzero(np.abs(times) <= literal_bound))]
+    agreement = 0.0
+    if len(checked):
+        H, R, L = system.matrix, system.right_vectors, system.left_vectors
+        U, V = (scipy.linalg.expm(-1j * times[1] * A) for A in (H, H.conj().T))
+        R_t, L_t = R, L
+        for t in checked:
+            R_t, L_t = U @ R_t, V @ L_t
+            gap_R = np.max(np.abs(R_t - R * np.exp(-1j * E * t)))
+            gap_L = np.max(np.abs(L_t - L * np.exp(-1j * np.conj(E) * t)))
+            agreement = max(agreement, float(gap_R), float(gap_L))
+
+    return OverlapTrace(times=times, initial_overlaps=G0, right_eigenvalues=E.copy(),
+                        left_eigenvalues=system.left_eigenvalues, drift=drift,
+                        method_agreement=agreement, literal_time_bound=float(literal_bound))
 
 
 @dataclass

@@ -132,8 +132,18 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
         kappa = norms / np.abs(overlaps)
     flagged = kappa > 1.0 / OVERLAP_FLOOR
     lvecs[:, ~flagged] /= np.conj(overlaps[~flagged])
-    ill_clusters = _rebiorthogonalize_clusters(evals, rvecs, lvecs, flagged)
-    defective = sorted(np.flatnonzero(flagged).tolist() + ill_clusters)
+    # geev back-transforms each vector on its own, so inside a cluster of
+    # (near-)equal eigenvalues the two bases need not be biorthogonal: solve
+    # the small overlap system, except in clusters holding a flagged index;
+    # a cluster too ill-conditioned to solve counts as defective
+    defective = np.flatnonzero(flagged).tolist()
+    for block in _clusters(evals, DEGENERACY_TOL * max(np.max(np.abs(evals)), 1.0)):
+        if not flagged[block].any():
+            O = lvecs[:, block].conj().T @ rvecs[:, block]
+            if np.linalg.cond(O) < 1e8:
+                lvecs[:, block] = lvecs[:, block] @ np.linalg.inv(O).conj().T
+            else:
+                defective.extend(block.tolist())
 
     return BiorthogonalSystem(
         matrix=H,
@@ -143,7 +153,7 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
         condition_numbers=kappa,
         right_residual=right_res,
         left_residual=left_res,
-        defective_indices=defective,
+        defective_indices=sorted(defective),
     )
 
 
@@ -156,34 +166,27 @@ def _matmul(A, X) -> np.ndarray:
     return (A @ np.ascontiguousarray(X).view(float)).view(complex)
 
 
-def _rebiorthogonalize_clusters(evals, rvecs, lvecs, flagged) -> list:
-    """Fix cross-overlaps inside (near-)degenerate eigenvalue clusters.
-
-    geev back-transforms each left and right eigenvector on its own, so
-    inside a cluster of equal eigenvalues the two bases it returns need not
-    be mutually biorthogonal; solving the small overlap system restores
-    <L_j|R_i> = delta_ij there. Clusters holding a ``flagged`` (defective)
-    index are left alone; the indices of clusters whose overlap system is
-    too ill-conditioned to solve are returned.
-    """
-    ill = []
-    n = len(evals)
-    scale = max(np.max(np.abs(evals)), 1.0)
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and abs(evals[stop] - evals[stop - 1]) < DEGENERACY_TOL * scale:
-            stop += 1
-        block = slice(start, stop)
-        if stop - start > 1 and not flagged[block].any():
-            O = lvecs[:, block].conj().T @ rvecs[:, block]
-            # guard: only adjust well-conditioned clusters
-            if np.linalg.cond(O) < 1e8:
-                lvecs[:, block] = lvecs[:, block] @ np.linalg.inv(O).conj().T
-            else:
-                ill.extend(range(start, stop))
-        start = stop
-    return ill
+def _clusters(evals, radius: float) -> list:
+    """Star groups of two or more eigenvalues: each index not yet grouped
+    collects every ungrouped one within ``radius``, whatever the sort order
+    (noise can interleave a repeated pair as 0.3−i, 0.3+i, 0.3−i, 0.3+i)."""
+    # scan only indices with a neighbour within 2·radius in both parts; a
+    # stable sort spares the 0.25 MB of code numpy's default sort maps in
+    crowded = np.ones(len(evals), dtype=bool)
+    for part in (evals.real, evals.imag):
+        ranked = np.sort(part, kind="stable")
+        crowded &= (np.searchsorted(ranked, part + 2 * radius)
+                    - np.searchsorted(ranked, part - 2 * radius)) > 1
+    seen = np.zeros(len(evals), dtype=bool)
+    groups = []
+    for i in np.flatnonzero(crowded):
+        if seen[i]:
+            continue
+        members = np.flatnonzero((np.abs(evals - evals[i]) < radius) & ~seen)
+        seen[members] = True
+        if len(members) > 1:
+            groups.append(members)
+    return groups
 
 
 @dataclass
@@ -227,23 +230,22 @@ def classify_spectrum(eigenvalues, tol_real: float = DEFAULT_TOL_REAL,
 
     complex_evs = evs[~real_mask]
     complex_pos = order[~real_mask]
-    pairs = []
     # |E_a - conj(E_b)| is already symmetric in (a, b)
     dist = np.abs(complex_evs[:, None] - np.conj(complex_evs)[None, :])
-    np.fill_diagonal(dist, np.inf)
+    a_idx, b_idx = np.nonzero(np.triu(dist < tol_cluster, k=1))
+    # nearest first; the stable sort keeps row-major order among equal
+    # distances, so each accepted pair is the nearest one left open
+    rank = np.argsort(dist[a_idx, b_idx], kind="stable")
     alive = np.ones(len(complex_evs), dtype=bool)
-    while alive.sum() >= 2:
-        a, b = np.unravel_index(np.argmin(dist), dist.shape)
-        if dist[a, b] >= tol_cluster:
-            break
+    pairs = []
+    for a, b in zip(a_idx[rank], b_idx[rank]):
+        if not (alive[a] and alive[b]):
+            continue
+        alive[a] = alive[b] = False
         if complex_evs[a].imag < complex_evs[b].imag:
             a, b = b, a
         pairs.append(((complex(complex_evs[a]), complex(complex_evs[b])),
                       (int(complex_pos[a]), int(complex_pos[b]))))
-        for idx in (a, b):
-            alive[idx] = False
-            dist[idx, :] = np.inf
-            dist[:, idx] = np.inf
     leftovers = [complex(e) for e in complex_evs[alive]]
     pairs.sort(key=lambda p: (p[0][0].real, p[0][0].imag))
 

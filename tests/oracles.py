@@ -5,13 +5,15 @@ characteristic polynomial comes from the Faddeev-LeVerrier trace recursion
 and its roots from Durand-Kerner simultaneous iteration (no companion
 matrix, no QR). The Pais-Uhlenbeck reference embeds each mode operator in
 the full space before multiplying, independently of the library's
-per-mode products.
+per-mode products. The spectrum classifier reference pairs eigenvalues by
+repeated global ``argmin`` over the distance matrix.
 """
 
 import numpy as np
 
 from biortho.fock import Realization, ladder, position_momentum
 from biortho.models import pu_mode_scales
+from biortho.spectral import SpectrumClassification
 
 
 def faddeev_leverrier(H):
@@ -99,3 +101,39 @@ def pu_fock_kron_reference(n1, n2, params,
     return (PX @ PX / (2.0 * g) + PZ @ X
             + g * params.sum_sq.real / 2.0 * (X @ X)
             - g * params.prod_sq.real / 2.0 * (Z @ Z))
+
+
+def greedy_classify(eigenvalues, tol_real, tol_cluster):
+    """``classify_spectrum`` by the O(k³) greedy loop: take the globally
+    closest pair |E_a − conj(E_b)| still open until none is below
+    tol_cluster."""
+    evs = np.asarray(eigenvalues, dtype=complex).ravel()
+    order = np.lexsort((evs.imag, evs.real))
+    evs = evs[order]
+    real_mask = np.abs(evs.imag) < tol_real
+    complex_evs = evs[~real_mask]
+    complex_pos = order[~real_mask]
+    pairs = []
+    dist = np.abs(complex_evs[:, None] - np.conj(complex_evs)[None, :])
+    np.fill_diagonal(dist, np.inf)
+    alive = np.ones(len(complex_evs), dtype=bool)
+    while alive.sum() >= 2:
+        a, b = np.unravel_index(np.argmin(dist), dist.shape)
+        if dist[a, b] >= tol_cluster:
+            break
+        if complex_evs[a].imag < complex_evs[b].imag:
+            a, b = b, a
+        pairs.append(((complex(complex_evs[a]), complex(complex_evs[b])),
+                      (int(complex_pos[a]), int(complex_pos[b]))))
+        for idx in (a, b):
+            alive[idx] = False
+            dist[idx, :] = np.inf
+            dist[:, idx] = np.inf
+    pairs.sort(key=lambda p: (p[0][0].real, p[0][0].imag))
+    return SpectrumClassification(
+        real_singles=sorted(evs[real_mask].real.tolist()),
+        conjugate_pairs=[values for values, _ in pairs],
+        pair_indices=[positions for _, positions in pairs],
+        leftovers=sorted((complex(e) for e in complex_evs[alive]),
+                         key=lambda e: (e.real, e.imag)),
+    )

@@ -1,10 +1,12 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from biortho import cli
 from biortho.cli import main, read_matrix_file, write_matrix_file
+from biortho.evolution import AGREEMENT_GATE, overlap_trace
 from biortho.models import PUParams, pu_dynamical_matrix
 
 
@@ -135,6 +137,34 @@ def test_overlap_command(capsys):
     report = json.loads(out)
     assert report["max_drift"] < 1e-9
     assert report["selection_rule"]["ok"]
+
+
+def test_overlap_exit_code_honours_agreement_gate(monkeypatch, capsys):
+    # eigenvalues shifted by 1e-8 inside the trace: the selection rule
+    # still holds, the stepped eigenvectors disagree with the phases
+    def shifted_trace(system, **grid):
+        return overlap_trace(replace(system, eigenvalues=system.eigenvalues + 1e-8),
+                             **grid)
+
+    monkeypatch.setattr(cli, "overlap_trace", shifted_trace)
+    code, out = run_cli(capsys, "overlap", "--model", "dimer",
+                        "--g", "1", "--k", "0.5")
+    report = json.loads(out)
+    assert report["selection_rule"]["ok"]
+    assert report["method_agreement"] > AGREEMENT_GATE
+    assert code == 1
+
+
+def test_overlap_on_pu_exceptional_point_fails(tmp_path, capsys):
+    # Jordan blocks that eigendecompose does not flag: the stepped
+    # eigenvectors expose them
+    M = pu_dynamical_matrix(PUParams.from_alpha_beta(1.0, 1.0, 0.0)).dynamical_matrix
+    path = tmp_path / "ep.txt"
+    write_matrix_file(path, M)
+    code, out = run_cli(capsys, "overlap", "--model", "custom",
+                        "--matrix-file", str(path))
+    assert json.loads(out)["method_agreement"] > AGREEMENT_GATE
+    assert code == 1
 
 
 def test_checks_pass_by_default(capsys):

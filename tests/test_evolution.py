@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from biortho.errors import DefectiveSystemError, PropagatorRangeError
 from biortho.evolution import (
+    AGREEMENT_GATE,
     MAX_EXPONENT,
     OVERLAP_NOISE_FLOOR,
     euclidean_reality,
@@ -155,14 +158,30 @@ TRACE_CASES = [
 
 
 @pytest.mark.parametrize("H, t_max", TRACE_CASES)
-def test_overlap_trace_one_expm_per_step_for_real_h(monkeypatch, H, t_max):
+def test_overlap_trace_two_expm_per_trace(monkeypatch, H, t_max):
+    # one step exponential per side, real or complex H, however many
+    # grid times the literal check covers
     system = eigendecompose(H)
     calls = _expm_spy(monkeypatch)
     trace = overlap_trace(system, t_max=t_max, n_times=41)
     literal_steps = int(np.sum(np.abs(trace.times) <= trace.literal_time_bound))
-    assert literal_steps > 1
-    per_step = 2 if np.any(np.asarray(H).imag) else 1
-    assert len(calls) == per_step * literal_steps
+    assert literal_steps > 2
+    assert len(calls) == 2
+    dt = trace.times[1]
+    Hc = np.asarray(H, dtype=complex)
+    assert np.array_equal(calls[0][0], -1j * dt * Hc)
+    assert np.array_equal(calls[1][0], -1j * dt * Hc.conj().T)
+
+
+def test_overlap_trace_no_expm_when_only_t0_is_checked(monkeypatch):
+    # artifact pairs of the truncated cubic grow at rate ~100, so on the
+    # default grid (step 0.1) the literal window holds t = 0 alone
+    system = eigendecompose(cubic_hamiltonian(60, Realization.POSITION_IMAGINARY))
+    calls = _expm_spy(monkeypatch)
+    trace = overlap_trace(system)
+    assert trace.literal_time_bound < trace.times[1]
+    assert calls == []
+    assert trace.method_agreement == 0.0
 
 
 @pytest.mark.parametrize("H, t_max", TRACE_CASES)
@@ -170,28 +189,33 @@ def test_overlap_trace_matches_two_expm_reference(H, t_max):
     system = eigendecompose(H)
     trace = overlap_trace(system, t_max=t_max, n_times=41)
 
-    # reference: the literal route with both exponentials formed explicitly
-    Hc = np.asarray(H, dtype=complex)
-    L, R = system.left_vectors, system.right_vectors
+    # reference: the closed form written out over the whole grid
     G0 = system.overlap_matrix()
     G0 = np.where(np.abs(G0) < OVERLAP_NOISE_FLOOR * np.max(np.abs(G0)), 0.0, G0)
     E = system.eigenvalues
     exponent = np.where(G0 == 0.0, 0.0, 1j * (E[:, None] - E[None, :]))
-    overlaps, agreement = [], 0.0
+    overlaps = []
     for t in trace.times:
         expo = exponent * t
         expo = np.minimum(expo.real, MAX_EXPONENT) + 1j * expo.imag
         overlaps.append(G0 * np.exp(expo))
-        if abs(t) <= trace.literal_time_bound:
-            literal = (L.conj().T @ scipy.linalg.expm(1j * t * Hc)
-                       @ scipy.linalg.expm(-1j * t * Hc) @ R)
-            agreement = max(agreement, np.max(np.abs(literal - overlaps[-1])))
     overlaps = np.array(overlaps)
     drift = np.max(np.abs(overlaps - overlaps[0]), axis=0)
 
     assert np.max(np.abs(trace.overlaps - overlaps)) <= 1e-12
     assert np.max(np.abs(trace.drift - drift)) <= 1e-12
-    assert abs(trace.method_agreement - agreement) <= 1e-12
+
+
+@pytest.mark.parametrize("H, t_max", TRACE_CASES)
+def test_overlap_trace_catches_shifted_eigenvalues(H, t_max):
+    # a common shift cancels in every E_j − E_i, so drift and the selection
+    # rule cannot see it; the stepped eigenvectors can
+    system = eigendecompose(H)
+    assert overlap_trace(system, t_max=t_max, n_times=41).method_agreement < AGREEMENT_GATE
+    shifted = replace(system, eigenvalues=system.eigenvalues + 1e-8)
+    trace = overlap_trace(shifted, t_max=t_max, n_times=41)
+    assert trace.max_drift < 1e-9
+    assert trace.method_agreement > AGREEMENT_GATE
 
 
 def test_selection_rule_hermitian_reduces_to_orthonormality():

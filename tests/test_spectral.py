@@ -16,7 +16,7 @@ from biortho.spectral import (
     eigendecompose,
 )
 
-from oracles import charpoly_eigenvalues, match_distance
+from oracles import charpoly_eigenvalues, greedy_classify, match_distance
 
 DIMER_UNBROKEN = np.sqrt(0.75)  # ±sqrt(k² − g²) at k=1, g=0.5
 
@@ -158,6 +158,18 @@ def test_clean_cluster_biorthonormal_beside_defective_block():
     assert np.max(np.abs(G[2:, 2:] - np.eye(6))) < 1e-10
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_repeated_conjugate_pair_cluster_biorthonormal(seed):
+    # rounding noise in Re interleaves the repeated pair in the sort
+    # (0.3−i, 0.3+i, 0.3−i, 0.3+i); the clusters are found by distance
+    B = np.array([[0.3, 1.0], [-1.0, 0.3]])
+    S = np.random.default_rng(seed).standard_normal((6, 6))
+    H = S @ scipy.linalg.block_diag(B, B, np.diag([2.0, -1.5])) @ np.linalg.inv(S)
+    system = eigendecompose(H)
+    assert system.is_diagonalizable
+    assert np.max(np.abs(system.overlap_matrix() - np.eye(6))) < 1e-12
+
+
 def test_condition_numbers():
     rng = np.random.default_rng(41)
     X = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
@@ -250,6 +262,26 @@ def test_classify_every_eigenvalue_bucketed_once():
     assert buckets.count == len(evals)
     for pair, (a, b) in zip(buckets.conjugate_pairs, buckets.pair_indices):
         assert pair == (evals[a], evals[b])
+
+
+def _lattice_spectrum(rng):
+    """Eigenvalues on a coarse lattice (exact repeats, equal distances,
+    real points) plus conjugates perturbed below 1e-8."""
+    k = int(rng.integers(1, 25))
+    lattice = rng.integers(0, 4, k) * 0.5 + 1j * rng.integers(-2, 3, k) * 0.5
+    near = np.conj(lattice[: int(rng.integers(0, k + 1))])
+    near = near + 1e-9 * rng.integers(-3, 4, len(near)) * (1 + 1j)
+    return rng.permutation(np.concatenate([lattice, near]))
+
+
+def test_classify_matches_greedy_oracle():
+    rng = np.random.default_rng(2718)
+    for _ in range(300):
+        evals = _lattice_spectrum(rng)
+        tol_cluster = float(rng.choice([1e-8, 0.6, 1.1]))
+        fast = classify_spectrum(evals, tol_real=1e-12, tol_cluster=tol_cluster)
+        slow = greedy_classify(evals, tol_real=1e-12, tol_cluster=tol_cluster)
+        assert fast == slow
 
 
 def test_defect_report_nilpotent():
