@@ -161,9 +161,9 @@ def find_antilinear_symmetry(H, tol: float = 1e-8) -> AntilinearOp:
 
     Either route must pass two gates: σ_min(M/‖M‖_F) ≥ 1e-8 and
     ``commutes_with`` residual ≤ ``tol``. When the eigensystem is defective
-    or fails its residual check, or the spectral M fails a gate (for
-    example a Jordan block in a complex basis, or eigenvectors too
-    non-normal to reach ``tol``), M is instead picked from the nullspace of
+    (a Jordan block, in any basis) or fails its residual check, or the
+    spectral M fails a gate (for example eigenvectors too non-normal to
+    reach ``tol``), M is instead picked from the nullspace of
     X -> H·X − X·conj(H), an O(n⁶) SVD, by a deterministic scan that
     maximizes the smallest singular value, plus ``N_RANDOM_CANDIDATES``
     seeded random combinations. ConditioningError if that fails too.
@@ -285,8 +285,10 @@ def build_c_operator(system: BiorthogonalSystem, pt: AntilinearOp) -> np.ndarray
     Im E > 0 and c = −1 for the partner: that is the unique
     Hamiltonian-commuting involution on the pair sector beyond ±identity,
     and it reproduces the broken-phase non-commutation of C with PT. With
-    no conjugate pair, |C² − 1| and |[C, H]| must stay below
-    C_OPERATOR_TOL (ConditioningError otherwise).
+    biorthonormal vectors C is an involution commuting with H in both
+    regimes, so |C² − 1| and |[C, H]| (relative) must stay below
+    C_OPERATOR_TOL (ConditioningError otherwise). A defective system, as
+    ``eigendecompose`` decides it, raises DefectiveSystemError.
     """
     if not system.is_diagonalizable:
         raise DefectiveSystemError(
@@ -308,22 +310,18 @@ def build_c_operator(system: BiorthogonalSystem, pt: AntilinearOp) -> np.ndarray
             )
         signs[i] = np.sign(pt_norm.real)
 
-    complex_idx = np.nonzero(~real_mask)[0]
-    for i in complex_idx:
+    for i in np.nonzero(~real_mask)[0]:
         signs[i] = 1.0 if evals[i].imag > 0 else -1.0
 
     C = (system.right_vectors * signs) @ system.left_vectors.conj().T
 
-    if complex_idx.size == 0:
-        # real-spectrum regime: the involution and commutation promises
-        # must hold
-        c_scale = max(np.linalg.norm(C), 1.0)
-        involution = np.linalg.norm(C @ C - np.eye(n)) / c_scale
-        H = system.matrix
-        commutation = np.linalg.norm(C @ H - H @ C) / (c_scale * max(scale, 1.0))
-        if max(involution, commutation) > C_OPERATOR_TOL:
-            raise ConditioningError(
-                f"C operator verification failed: |C^2-1|={involution:.3e}, "
-                f"|[C,H]|={commutation:.3e} exceed tol {C_OPERATOR_TOL:.1e}"
-            )
+    c_scale = max(np.linalg.norm(C), 1.0)
+    involution = np.linalg.norm(C @ C - np.eye(n)) / c_scale
+    H = system.matrix
+    commutation = np.linalg.norm(C @ H - H @ C) / (c_scale * scale)
+    if max(involution, commutation) > C_OPERATOR_TOL:
+        raise ConditioningError(
+            f"C operator verification failed: |C^2-1|={involution:.3e}, "
+            f"|[C,H]|={commutation:.3e} exceed tol {C_OPERATOR_TOL:.1e}"
+        )
     return C

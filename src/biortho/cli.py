@@ -64,13 +64,7 @@ from .models import (
     pu_hamiltonian_fock,
     pu_pt_operator,
 )
-from .spectral import (
-    DEFECT_CLUSTER_TOL,
-    _clusters,
-    classify_spectrum,
-    defect_report,
-    eigendecompose,
-)
+from .spectral import classify_spectrum, eigendecompose
 
 MODEL_PARAMETERS = {
     "cubic": set(),
@@ -298,27 +292,9 @@ def build_model(config: dict):
     return build(n, realization), pt_operator(n, realization)
 
 
-# numerical rank decisions (one SVD per cluster) are only trusted, and
-# affordable, on small matrices; large truncations report the flag alone
-DEFECT_SCAN_MAX_DIM = 64
-
-
-def _defective_clusters(H, evals) -> list:
-    """(eigenvalue, algebraic, geometric) for repeated defective clusters;
-    [] above DEFECT_SCAN_MAX_DIM."""
-    if len(evals) > DEFECT_SCAN_MAX_DIM:
-        return []
-    scale = max(float(np.max(np.abs(evals))), 1.0)
-    reports = [defect_report(H, complex(np.mean(evals[members])))
-               for members in _clusters(evals, DEFECT_CLUSTER_TOL * scale)]
-    return [(r.eigenvalue, r.algebraic_multiplicity, r.geometric_multiplicity)
-            for r in reports if r.is_defective]
-
-
 def run_spectrum(config: dict) -> dict:
     H, pt = build_model(config)
     system = eigendecompose(H)
-    defective = _defective_clusters(H, system.eigenvalues)
     buckets = classify_spectrum(
         system.eigenvalues, tol_real=config["tol_real"],
         tol_cluster=config["tol_cluster"],
@@ -338,9 +314,10 @@ def run_spectrum(config: dict) -> dict:
             ],
             "leftovers": [{"re": v.real, "im": v.imag} for v in buckets.leftovers],
             "defective_clusters": [
-                {"eigenvalue": {"re": e.real, "im": e.imag},
-                 "algebraic": alg, "geometric": geo}
-                for e, alg, geo in defective
+                {"eigenvalue": {"re": d.eigenvalue.real, "im": d.eigenvalue.imag},
+                 "algebraic": d.algebraic_multiplicity,
+                 "geometric": d.geometric_multiplicity}
+                for d in system.defects
             ],
             "warning": buckets.has_warning,
         },
@@ -350,7 +327,7 @@ def run_spectrum(config: dict) -> dict:
             "pairing": system.pairing_residual,
         },
         "flags": {
-            "defective": not system.is_diagonalizable or bool(defective),
+            "defective": not system.is_diagonalizable,
             "entrywise_real": reality.is_real,
             "max_imag_entry": reality.max_imag,
             "broken_phase": bool(buckets.conjugate_pairs),
@@ -370,7 +347,8 @@ def _sweep_single(config: dict, name: str, value: float) -> dict:
         H = pu_dynamical_matrix(_pu_params(step_cfg["parameters"])).dynamical_matrix
     else:
         H, _ = build_model(step_cfg)
-    evals = np.linalg.eigvals(H)
+    system = eigendecompose(H)
+    evals = system.eigenvalues
     buckets = classify_spectrum(
         evals, tol_real=config["tol_real"], tol_cluster=config["tol_cluster"]
     )
@@ -380,7 +358,7 @@ def _sweep_single(config: dict, name: str, value: float) -> dict:
         "n_pairs": len(buckets.conjugate_pairs),
         "n_leftover": len(buckets.leftovers),
         "max_imag": float(np.max(np.abs(evals.imag))),
-        "defective": bool(_defective_clusters(H, evals)),
+        "defective": not system.is_diagonalizable,
     }
 
 
@@ -409,8 +387,7 @@ def run_overlap(config: dict) -> dict:
     H, _ = build_model(config)
     system = eigendecompose(H)
     trace = overlap_trace(system, t_max=config["t_max"], n_times=config["n_times"])
-    rule = selection_rule_check(system, tol=config["tol_real"],
-                                tol_cluster=config["tol_cluster"])
+    rule = selection_rule_check(system, tol_cluster=config["tol_cluster"])
     return {
         "config": config,
         "version": __version__,

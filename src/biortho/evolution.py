@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DefectiveSystemError, PropagatorRangeError
-from .spectral import BiorthogonalSystem, eigendecompose
+from .spectral import BiorthogonalSystem
 
 # np.exp overflows just above 709; keep headroom
 MAX_EXPONENT = 700.0
@@ -46,19 +46,12 @@ def _check_range(rate: float, t: float, what: str):
 
 
 def propagator(H, t: float) -> np.ndarray:
-    """Evolution operator exp(−iHt).
-
-    H is factorized once: a diagonalizable H gets the biorthonormal
-    spectral sum, a defective one ``scipy.linalg.expm``.
-    """
+    """Evolution operator exp(−iHt) by ``scipy.linalg.expm``, diagonalizable
+    or not. PropagatorRangeError when max|Im E|·|t| exceeds MAX_EXPONENT;
+    ValueError (numpy's LinAlgError) for a non-square or non-finite H."""
     H = np.asarray(H, dtype=complex)
-    system = eigendecompose(H)
-    _check_range(float(np.max(np.abs(system.eigenvalues.imag))), t, "propagator")
-    if not system.is_diagonalizable:
-        return scipy.linalg.expm(-1j * t * H)
-
-    phases = np.exp(-1j * system.eigenvalues * t)
-    return (system.right_vectors * phases) @ system.left_vectors.conj().T
+    _check_range(float(np.max(np.abs(np.linalg.eigvals(H).imag))), t, "propagator")
+    return scipy.linalg.expm(-1j * t * H)
 
 
 def _closed_form(G0, E, times):

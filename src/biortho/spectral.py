@@ -14,8 +14,13 @@ scalar product and <L_j|R_i> = 0 whenever E_j != E_i.
 How far to trust eigenvalue i is its condition number
 κ_i = ||L_i||·||R_i|| / |<L_i|R_i>| (Trefethen & Embree, *Spectra and
 Pseudospectra*, 2005): 1 for a normal matrix, large for a non-normal one,
-infinite at a defective eigenvalue. Normalization, defect detection and the
-biorthogonalization of degenerate clusters live here.
+infinite at a defective eigenvalue. A Jordan block can keep every κ_i
+finite (the 4×4 Pais-Uhlenbeck matrix at equal frequencies reads 7.6e7), so
+each cluster of eigenvalues within DEFECT_CLUSTER_TOL of each other also
+gets a rank test, up to DEFECT_SCAN_MAX_DIM. ``is_diagonalizable`` is the
+one verdict on defectiveness, read by the CLI and every library consumer.
+Normalization, defect detection and the biorthogonalization of degenerate
+clusters live here.
 """
 
 from __future__ import annotations
@@ -30,14 +35,15 @@ from .errors import ConvergenceError
 DEFAULT_TOL = 1e-9
 DEFAULT_TOL_REAL = 1e-8
 DEFAULT_TOL_CLUSTER = 1e-8
-# relative eigenvalue distance below which geev's left/right vectors of a
-# cluster are re-biorthogonalized
-DEGENERACY_TOL = 1e-8
-# defect_report: eigenvalues within DEFECT_CLUSTER_TOL·max(1, |E|) of E
-# count towards its algebraic multiplicity; singular values of H − E·I above
-# DEFECT_RANK_TOL·||H|| towards the rank
+# eigenvalues within DEFECT_CLUSTER_TOL·max(1, max|E|) of each other form a
+# cluster (defect_report: within DEFECT_CLUSTER_TOL·max(1, |E|) of E);
+# singular values of H − E·I above DEFECT_RANK_TOL·||H|| count towards the
+# rank that decides its geometric multiplicity
 DEFECT_CLUSTER_TOL = 1e-6
 DEFECT_RANK_TOL = 1e-10
+# the rank test (one SVD per cluster) is only trusted, and affordable, on
+# small matrices; larger ones rely on the condition-number flag alone
+DEFECT_SCAN_MAX_DIM = 64
 # an index whose condition number exceeds 1/OVERLAP_FLOOR is defective (for
 # the unit geev vectors: |<L_i|R_i>| below the floor)
 OVERLAP_FLOOR = 1e-10
@@ -60,6 +66,7 @@ class BiorthogonalSystem:
     right_residual: float            # max_i ||H R_i - E_i R_i||
     left_residual: float             # max_i ||H† L_i - conj(E_i) L_i||
     defective_indices: list = field(default_factory=list)
+    defects: list = field(default_factory=list)   # DefectReport per defective cluster
 
     @property
     def dimension(self) -> int:
@@ -92,8 +99,12 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
     """Full biorthogonal decomposition of a square complex matrix.
 
     Raises ConvergenceError if the QR iteration fails or residuals exceed
-    tol·||H||; indices with κ_i > 1/OVERLAP_FLOOR are flagged defective,
-    not fatal.
+    tol·||H||. Defects are flagged, not fatal: an index is defective when
+    κ_i > 1/OVERLAP_FLOOR, and, for n <= DEFECT_SCAN_MAX_DIM, every member
+    of a cluster (eigenvalues within DEFECT_CLUSTER_TOL·max(1, max|E|))
+    whose geometric multiplicity n − rank(H − Ē·I) is below its size, with
+    its DefectReport in ``defects``. Every other cluster free of flagged
+    indices is re-biorthogonalized.
     """
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -132,18 +143,28 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
         kappa = norms / np.abs(overlaps)
     flagged = kappa > 1.0 / OVERLAP_FLOOR
     lvecs[:, ~flagged] /= np.conj(overlaps[~flagged])
-    # geev back-transforms each vector on its own, so inside a cluster of
-    # (near-)equal eigenvalues the two bases need not be biorthogonal: solve
-    # the small overlap system, except in clusters holding a flagged index;
-    # a cluster too ill-conditioned to solve counts as defective
-    defective = np.flatnonzero(flagged).tolist()
-    for block in _clusters(evals, DEGENERACY_TOL * max(np.max(np.abs(evals)), 1.0)):
+    # a cluster whose geometric multiplicity falls short of its size is a
+    # Jordan block, however well conditioned geev's vectors look. geev
+    # back-transforms each vector on its own, so inside any other cluster
+    # the two bases need not be biorthogonal: solve the small overlap
+    # system, except in clusters holding a flagged index; a cluster too
+    # ill-conditioned to solve counts as defective
+    defective = set(np.flatnonzero(flagged).tolist())
+    defects = []
+    for block in _clusters(evals, DEFECT_CLUSTER_TOL * max(np.max(np.abs(evals)), 1.0)):
+        if len(evals) <= DEFECT_SCAN_MAX_DIM:
+            mean = complex(np.mean(evals[block]))
+            report = DefectReport(mean, len(block), _geometric_multiplicity(A, mean, scale))
+            if report.is_defective:
+                defects.append(report)
+                defective.update(block.tolist())
+                continue
         if not flagged[block].any():
             O = lvecs[:, block].conj().T @ rvecs[:, block]
             if np.linalg.cond(O) < 1e8:
                 lvecs[:, block] = lvecs[:, block] @ np.linalg.inv(O).conj().T
             else:
-                defective.extend(block.tolist())
+                defective.update(block.tolist())
 
     return BiorthogonalSystem(
         matrix=H,
@@ -154,6 +175,7 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
         right_residual=right_res,
         left_residual=left_res,
         defective_indices=sorted(defective),
+        defects=defects,
     )
 
 
@@ -276,13 +298,8 @@ def defect_report(H, eigenvalue) -> DefectReport:
     counts eigenvalues within DEFECT_CLUSTER_TOL·max(1, |E|) of E.
     """
     H = np.asarray(H, dtype=complex)
-    n = H.shape[0]
     E = complex(eigenvalue)
-    scale = max(np.linalg.norm(H, 2), 1.0)
-
-    sigma = np.linalg.svd(H - E * np.eye(n), compute_uv=False)
-    rank = int(np.sum(sigma > DEFECT_RANK_TOL * scale))
-    geometric = n - rank
+    geometric = _geometric_multiplicity(H, E, max(np.linalg.norm(H, 2), 1.0))
 
     evals = np.linalg.eigvals(H)
     cluster_radius = DEFECT_CLUSTER_TOL * max(1.0, abs(E))
@@ -293,3 +310,11 @@ def defect_report(H, eigenvalue) -> DefectReport:
         algebraic_multiplicity=algebraic,
         geometric_multiplicity=geometric,
     )
+
+
+def _geometric_multiplicity(H, E: complex, scale: float) -> int:
+    """n − rank(H − E·I), counting singular values above
+    DEFECT_RANK_TOL·scale, where scale is max(||H||₂, 1)."""
+    n = H.shape[0]
+    sigma = np.linalg.svd(H - E * np.eye(n), compute_uv=False)
+    return n - int(np.sum(sigma > DEFECT_RANK_TOL * scale))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -15,6 +17,7 @@ from biortho.antilinear import (
     is_real,
 )
 from biortho.errors import (
+    ConditioningError,
     ConvergenceError,
     DefectiveSystemError,
     NoAntilinearSymmetryError,
@@ -23,11 +26,13 @@ from biortho.errors import (
 )
 from biortho.fock import Realization
 from biortho.models import (
+    PUParams,
     cubic_hamiltonian,
     dimer_hamiltonian,
     dimer_pt_operator,
     harmonic_hamiltonian,
     pt_operator,
+    pu_dynamical_matrix,
 )
 from biortho.spectral import classify_spectrum, eigendecompose
 
@@ -197,8 +202,8 @@ def test_find_symmetry_jordan_and_degenerate_complex_inputs(monkeypatch):
     monkeypatch.setattr(antilinear, "_nullspace_intertwiner", spy)
     rng = np.random.default_rng(13)
     Q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-    # not flagged defective (κ ≈ 1e7), yet the spectral M misses the
-    # equation, so the nullspace route must serve it
+    # κ ≈ 5e7 stays below the κ flag, but the cluster rank test flags it
+    # defective, so the nullspace route must serve it
     jordan = Q @ np.array([[1.0, 1.0], [0.0, 1.0]]) @ Q.conj().T
     S = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     similar = S @ np.diag([1, 1, 1, 2 + 1j, 2 - 1j, 3]) @ np.linalg.inv(S)
@@ -313,10 +318,27 @@ def test_c_operator_broken_dimer_breaks_pt_commutation():
     assert np.linalg.norm(anticommutator_with(C, pt)) > 0.1
 
 
+def test_c_operator_verified_in_conjugate_pair_regime():
+    # a left vector off biorthonormality breaks C² = 1 in the broken phase
+    # as in the real one
+    system = eigendecompose(dimer_hamiltonian(1.0, 0.5))
+    left = system.left_vectors.copy()
+    left[:, 0] += 1e-3 * left[:, 1]
+    with pytest.raises(ConditioningError):
+        build_c_operator(replace(system, left_vectors=left), dimer_pt_operator())
+
+
 def test_c_operator_rejects_defective_system():
     with pytest.raises(DefectiveSystemError):
         build_c_operator(eigendecompose(dimer_hamiltonian(1.0, 1.0)),
                          dimer_pt_operator())
+
+
+def test_c_operator_rejects_pu_exceptional_point():
+    # equal frequencies: Jordan blocks at ±i with every κ_i near 7.6e7
+    M = pu_dynamical_matrix(PUParams.from_alpha_beta(1.0, 1.0, 0.0)).dynamical_matrix
+    with pytest.raises(DefectiveSystemError):
+        build_c_operator(eigendecompose(M), identity_op(4))
 
 
 def test_c_operator_zero_pt_norm_is_ambiguous():

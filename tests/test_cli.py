@@ -3,11 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from biortho import cli
 from biortho.cli import main, read_matrix_file, write_matrix_file
 from biortho.evolution import AGREEMENT_GATE, overlap_trace
-from biortho.models import PUParams, pu_dynamical_matrix
+from biortho.models import PUParams, dimer_hamiltonian, pu_dynamical_matrix
+from biortho.spectral import eigendecompose
 
 
 def run_cli(capsys, *argv):
@@ -112,6 +114,69 @@ def test_spectrum_and_sweep_agree_on_pu_exceptional_point(tmp_path, capsys):
     assert json.loads(out)["steps"][0]["defective"]
 
 
+def _jordan_in_complex_basis():
+    rng = np.random.default_rng(13)
+    Q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    return Q @ np.array([[1.0, 1.0], [0.0, 1.0]]) @ Q.conj().T
+
+
+def _similar_to_diagonal():
+    rng = np.random.default_rng(17)
+    S = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    return S @ np.diag([1, 1, 1, 2 + 1j, 2 - 1j, 3]) @ np.linalg.inv(S)
+
+
+# name -> (matrix builder, defective)
+VERDICT_CASES = {
+    "dimer-ep": (lambda: dimer_hamiltonian(1.0, 1.0), True),
+    "pu-ep": (lambda: pu_dynamical_matrix(
+        PUParams.from_alpha_beta(1.0, 1.0, 0.0)).dynamical_matrix, True),
+    "jordan-complex-basis": (_jordan_in_complex_basis, True),
+    "similar-to-diagonal": (_similar_to_diagonal, False),
+    "diag-5-5": (lambda: np.diag([5.0, 5.0]), False),
+}
+
+
+def _count_eigensolver_calls(monkeypatch) -> dict:
+    calls = {"eig": 0, "eigvals": 0}
+    for module, name in ((scipy.linalg, "eig"), (np.linalg, "eigvals")):
+        def spy(*args, _original=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("case", sorted(VERDICT_CASES))
+def test_spectrum_reports_the_eigendecompose_defect_verdict(case, tmp_path, capsys,
+                                                            monkeypatch):
+    build, defective = VERDICT_CASES[case]
+    H = build()
+    assert (not eigendecompose(H).is_diagonalizable) == defective
+    path = tmp_path / "H.txt"
+    write_matrix_file(path, H)
+    calls = _count_eigensolver_calls(monkeypatch)
+    code, out = run_cli(capsys, "spectrum", "--model", "custom", "--matrix-file", str(path))
+    assert code == 0
+    assert json.loads(out)["flags"]["defective"] == defective
+    assert calls == {"eig": 1, "eigvals": 0}
+
+
+def test_sweep_reports_the_eigendecompose_defect_verdict(capsys, monkeypatch):
+    calls = _count_eigensolver_calls(monkeypatch)
+    for args, expected in (
+        (("--model", "dimer", "--k", "1", "--sweep", "g:0:2:5"),
+         [False, False, True, False, False]),
+        (("--model", "pu", "--alpha", "1", "--sweep", "beta:0:0.5:3"),
+         [True, False, False]),
+    ):
+        calls.update(eig=0, eigvals=0)
+        code, out = run_cli(capsys, "sweep", *args)
+        assert code == 0
+        assert [row["defective"] for row in json.loads(out)["steps"]] == expected
+        assert calls == {"eig": len(expected), "eigvals": 0}
+
+
 def test_sweep_single_step_degenerates_to_spectrum(capsys):
     code, out = run_cli(capsys, "sweep", "--model", "dimer", "--k", "1",
                         "--sweep", "g:0.5:0.5:1")
@@ -156,14 +221,23 @@ def test_overlap_exit_code_honours_agreement_gate(monkeypatch, capsys):
 
 
 def test_overlap_on_pu_exceptional_point_fails(tmp_path, capsys):
-    # Jordan blocks that eigendecompose does not flag: the stepped
-    # eigenvectors expose them
+    # Jordan blocks whose condition numbers stay below the κ flag: the
+    # cluster rank test in eigendecompose finds them
     M = pu_dynamical_matrix(PUParams.from_alpha_beta(1.0, 1.0, 0.0)).dynamical_matrix
     path = tmp_path / "ep.txt"
     write_matrix_file(path, M)
     code, out = run_cli(capsys, "overlap", "--model", "custom",
                         "--matrix-file", str(path))
-    assert json.loads(out)["method_agreement"] > AGREEMENT_GATE
+    assert json.loads(out)["error"]["type"] == "DefectiveSystemError"
+    assert code == 1
+
+
+@pytest.mark.parametrize("extra", [(), ("--tol-real", "1e-6")])
+def test_overlap_selection_rule_ignores_tol_real(capsys, extra):
+    # --tol-real decides which levels count as real, not which overlaps
+    # count as zero: cubic 100 breaks the rule (max forbidden 4.2e-7) either way
+    code, out = run_cli(capsys, "overlap", "--model", "cubic", "--truncation", "100", *extra)
+    assert not json.loads(out)["selection_rule"]["ok"]
     assert code == 1
 
 
