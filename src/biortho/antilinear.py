@@ -29,7 +29,7 @@ from .spectral import (
 
 SYMMETRY_TOL = 1e-10
 PT_NORM_FLOOR = 1e-10
-# build_c_operator's gate on |C² − 1| and |[C, H]| in the real-spectrum regime
+# build_c_operator's gate on |C² − 1| and |[C, H]|, in every regime
 C_OPERATOR_TOL = 1e-8
 # singular values below NULLSPACE_RTOL·σ_max span the intertwiner nullspace
 NULLSPACE_RTOL = 1e-9

@@ -36,9 +36,9 @@ DEFAULT_TOL = 1e-9
 DEFAULT_TOL_REAL = 1e-8
 DEFAULT_TOL_CLUSTER = 1e-8
 # eigenvalues within DEFECT_CLUSTER_TOL·max(1, max|E|) of each other form a
-# cluster (defect_report: within DEFECT_CLUSTER_TOL·max(1, |E|) of E);
-# singular values of H − E·I above DEFECT_RANK_TOL·||H|| count towards the
-# rank that decides its geometric multiplicity
+# cluster; singular values of H − Ē·I above DEFECT_RANK_TOL·||H|| and above
+# twice the cluster's spread count towards the rank that decides its
+# geometric multiplicity
 DEFECT_CLUSTER_TOL = 1e-6
 DEFECT_RANK_TOL = 1e-10
 # the rank test (one SVD per cluster) is only trusted, and affordable, on
@@ -102,8 +102,9 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
     tol·||H||. Defects are flagged, not fatal: an index is defective when
     κ_i > 1/OVERLAP_FLOOR, and, for n <= DEFECT_SCAN_MAX_DIM, every member
     of a cluster (eigenvalues within DEFECT_CLUSTER_TOL·max(1, max|E|))
-    whose geometric multiplicity n − rank(H − Ē·I) is below its size, with
-    its DefectReport in ``defects``. Every other cluster free of flagged
+    whose geometric multiplicity n − rank(H − Ē·I) (rank rule of
+    ``_cluster_defect``) is below its size, with its DefectReport in
+    ``defects``. Every other cluster free of flagged
     indices is re-biorthogonalized.
     """
     H = np.asarray(H, dtype=complex)
@@ -151,10 +152,10 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
     # ill-conditioned to solve counts as defective
     defective = set(np.flatnonzero(flagged).tolist())
     defects = []
-    for block in _clusters(evals, DEFECT_CLUSTER_TOL * max(np.max(np.abs(evals)), 1.0)):
+    for block in _clusters(evals, _cluster_radius(evals)):
         if len(evals) <= DEFECT_SCAN_MAX_DIM:
-            mean = complex(np.mean(evals[block]))
-            report = DefectReport(mean, len(block), _geometric_multiplicity(A, mean, scale))
+            report = _cluster_defect(A, complex(np.mean(evals[block])),
+                                     evals[block], scale)
             if report.is_defective:
                 defects.append(report)
                 defective.update(block.tolist())
@@ -291,30 +292,30 @@ class DefectReport:
 
 
 def defect_report(H, eigenvalue) -> DefectReport:
-    """Algebraic/geometric multiplicity of ``eigenvalue`` in H.
-
-    Geometric multiplicity is n − rank(H − E·I), with rank decided by
-    singular values above DEFECT_RANK_TOL·||H||; algebraic multiplicity
-    counts eigenvalues within DEFECT_CLUSTER_TOL·max(1, |E|) of E.
+    """Algebraic/geometric multiplicity of ``eigenvalue`` in H, by the rule
+    ``eigendecompose`` applies to each cluster: the algebraic multiplicity
+    counts eigenvalues within DEFECT_CLUSTER_TOL·max(1, max|E|) of E.
     """
     H = np.asarray(H, dtype=complex)
     E = complex(eigenvalue)
-    geometric = _geometric_multiplicity(H, E, max(np.linalg.norm(H, 2), 1.0))
-
     evals = np.linalg.eigvals(H)
-    cluster_radius = DEFECT_CLUSTER_TOL * max(1.0, abs(E))
-    algebraic = int(np.sum(np.abs(evals - E) < cluster_radius))
-
-    return DefectReport(
-        eigenvalue=E,
-        algebraic_multiplicity=algebraic,
-        geometric_multiplicity=geometric,
-    )
+    members = evals[np.abs(evals - E) < _cluster_radius(evals)]
+    return _cluster_defect(H, E, members, max(np.linalg.norm(H, 2), 1.0))
 
 
-def _geometric_multiplicity(H, E: complex, scale: float) -> int:
-    """n − rank(H − E·I), counting singular values above
-    DEFECT_RANK_TOL·scale, where scale is max(||H||₂, 1)."""
+def _cluster_radius(evals) -> float:
+    return DEFECT_CLUSTER_TOL * max(np.max(np.abs(evals)), 1.0)
+
+
+def _cluster_defect(H, E: complex, members, scale: float) -> DefectReport:
+    """Multiplicities of the cluster ``members`` around E: algebraic is its
+    size, geometric n − rank(H − E·I). A singular value counts towards the
+    rank above DEFECT_RANK_TOL·scale (scale = max(||H||₂, 1)) and above
+    twice the spread max|E_i − E|: distinct eigenvalues of a normal H
+    leave singular values no larger than the spread, while a Jordan block
+    that rounding split by δ leaves one of order δ², far below it."""
     n = H.shape[0]
+    spread = float(np.max(np.abs(members - E), initial=0.0))
     sigma = np.linalg.svd(H - E * np.eye(n), compute_uv=False)
-    return n - int(np.sum(sigma > DEFECT_RANK_TOL * scale))
+    rank = int(np.sum(sigma > max(DEFECT_RANK_TOL * scale, 2 * spread)))
+    return DefectReport(E, len(members), n - rank)

@@ -341,6 +341,17 @@ def test_c_operator_rejects_pu_exceptional_point():
         build_c_operator(eigendecompose(M), identity_op(4))
 
 
+def test_c_operator_on_close_distinct_eigenvalues():
+    # levels 1e-7 apart form one defect cluster but no Jordan block
+    for H, pt in ((np.diag([1.0, 1.0 + 1e-7]), identity_op(2)),
+                  (scipy.linalg.block_diag(dimer_hamiltonian(0.5, 1.0),
+                                           dimer_hamiltonian(0.5, 1.0 + 1e-7)),
+                   AntilinearOp(scipy.linalg.block_diag(*[dimer_pt_operator().linear_part] * 2)))):
+        C = build_c_operator(eigendecompose(H), pt)
+        assert np.linalg.norm(C @ C - np.eye(len(H))) < 1e-10
+        assert np.linalg.norm(C @ H - H @ C) < 1e-10
+
+
 def test_c_operator_zero_pt_norm_is_ambiguous():
     # swap PT-norm of a parity eigenvector vanishes identically
     system = eigendecompose(np.diag([1.0, 2.0]))

@@ -134,6 +134,7 @@ VERDICT_CASES = {
     "jordan-complex-basis": (_jordan_in_complex_basis, True),
     "similar-to-diagonal": (_similar_to_diagonal, False),
     "diag-5-5": (lambda: np.diag([5.0, 5.0]), False),
+    "close-distinct": (lambda: np.diag([1.0, 1.0 + 1e-7]), False),
 }
 
 

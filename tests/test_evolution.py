@@ -32,7 +32,7 @@ def test_propagator_diagonal_at_pi():
 
 def test_propagator_nilpotent_series_terminates():
     H = dimer_hamiltonian(1.0, 1.0)          # H² = 0
-    P = propagator(H, 1.0)                   # defective: falls back to expm
+    P = propagator(H, 1.0)
     assert np.allclose(P, np.eye(2) - 1j * H, atol=1e-15)
 
 

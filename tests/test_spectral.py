@@ -7,6 +7,7 @@ from biortho.models import (
     PUParams,
     cubic_hamiltonian,
     dimer_hamiltonian,
+    pu_dynamical_matrix,
     pu_hamiltonian_fock,
     pu_spectrum_formula,
 )
@@ -296,3 +297,27 @@ def test_defect_report_diagonal_degenerate():
     assert report.algebraic_multiplicity == 2
     assert report.geometric_multiplicity == 2
     assert not report.is_defective
+
+
+@pytest.mark.parametrize("H", [
+    np.diag([1.0, 1.0 + 1e-7]),
+    np.diag([1.0, 1.0 + 1e-7, 1.0 + 2e-7]),
+    # two non-normal dimers whose levels sit 1.2e-7 apart
+    scipy.linalg.block_diag(dimer_hamiltonian(0.5, 1.0),
+                            dimer_hamiltonian(0.5, 1.0 + 1e-7)),
+])
+def test_close_distinct_eigenvalues_are_not_defective(H):
+    # one cluster at the defect radius, but every member has its own
+    # eigenvector: the rank test must not read the spread as a Jordan block
+    system = eigendecompose(H)
+    assert system.is_diagonalizable
+    assert system.defects == []
+    assert not defect_report(H, system.eigenvalues[-1]).is_defective
+
+
+def test_defect_report_matches_eigendecompose_defects():
+    M = pu_dynamical_matrix(PUParams.from_alpha_beta(1.0, 1.0, 0.0)).dynamical_matrix
+    defects = eigendecompose(M).defects
+    assert len(defects) == 2
+    for d in defects:
+        assert defect_report(M, d.eigenvalue) == d
