@@ -32,6 +32,7 @@ from .errors import (
     PropagatorRangeError,
     SignAmbiguityError,
     SingularOperatorError,
+    SizeBudgetError,
 )
 from .evolution import (
     EuclideanReality,

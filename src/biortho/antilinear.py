@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     ConditioningError,
@@ -19,10 +18,12 @@ from .errors import (
     NoAntilinearSymmetryError,
     SignAmbiguityError,
     SingularOperatorError,
+    SizeBudgetError,
 )
 from .spectral import (
     DEFAULT_TOL_REAL,
     BiorthogonalSystem,
+    _blocks,
     classify_spectrum,
     eigendecompose,
 )
@@ -35,6 +36,10 @@ C_OPERATOR_TOL = 1e-8
 NULLSPACE_RTOL = 1e-9
 # seeded random nullspace combinations tried after the deterministic scan
 N_RANDOM_CANDIDATES = 64
+# largest n²×n² intertwiner operator the nullspace fallback may build, in
+# bytes (its SVD factors take twice as much again): n = 63 fits, n = 64
+# does not
+NULLSPACE_MAX_BYTES = 256e6
 
 
 @dataclass(frozen=True)
@@ -166,7 +171,9 @@ def find_antilinear_symmetry(H, tol: float = 1e-8) -> AntilinearOp:
     reach ``tol``), M is instead picked from the nullspace of
     X -> H·X − X·conj(H), an O(n⁶) SVD, by a deterministic scan that
     maximizes the smallest singular value, plus ``N_RANDOM_CANDIDATES``
-    seeded random combinations. ConditioningError if that fails too.
+    seeded random combinations. ConditioningError if that fails too;
+    SizeBudgetError if the fallback's operator would exceed
+    NULLSPACE_MAX_BYTES (from n = 64 on).
     """
     H = np.asarray(H, dtype=complex)
     n = H.shape[0]
@@ -214,10 +221,8 @@ def _spectral_intertwiner(system: BiorthogonalSystem, pair_indices) -> np.ndarra
     # eigenvectors take their phases from separate leading eigenvectors
     scale = np.sqrt(np.abs(np.diagonal(W)))
     linked = np.abs(W) > np.finfo(float).eps * np.outer(scale, scale)
-    n_blocks, labels = connected_components(linked, directed=False)
     c = np.empty(n, dtype=complex)
-    for block in range(n_blocks):
-        idx = np.flatnonzero(labels == block)
+    for idx in _blocks(linked):
         lead = np.linalg.eigh(W[np.ix_(idx, idx)])[1][:, -1]
         c[idx] = np.exp(1j * np.angle(lead))
     return (R[:, perm] * c) @ L.T
@@ -225,8 +230,15 @@ def _spectral_intertwiner(system: BiorthogonalSystem, pair_indices) -> np.ndarra
 
 def _nullspace_intertwiner(H: np.ndarray) -> np.ndarray:
     """Best-conditioned element of the nullspace of X -> H·X − X·conj(H),
-    normalized to ‖M‖_F = 1."""
+    normalized to ‖M‖_F = 1. SizeBudgetError, before any allocation, when
+    the n²×n² operator would exceed NULLSPACE_MAX_BYTES."""
     n = H.shape[0]
+    nbytes = n**4 * np.dtype(complex).itemsize
+    if nbytes > NULLSPACE_MAX_BYTES:
+        raise SizeBudgetError(
+            f"intertwiner nullspace operator for n = {n} needs {nbytes / 1e6:.0f} MB, "
+            f"over the {NULLSPACE_MAX_BYTES / 1e6:.0f} MB budget"
+        )
     # vec (column-major): vec(H X) = (I ⊗ H) vec(X), vec(X B) = (Bᵀ ⊗ I) vec(X)
     eye = np.eye(n, dtype=complex)
     A = np.kron(eye, H) - np.kron(np.conj(H).T, eye)

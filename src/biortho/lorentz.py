@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConstraintSolveError
 
@@ -113,12 +112,6 @@ def complex_boost_spinor(basis: GammaBasis, i: int, xi: complex) -> np.ndarray:
         return -1j * G
     half = complex(xi) / 2.0
     return np.cosh(half) * np.eye(4, dtype=complex) - np.sinh(half) * G
-
-
-def complex_boost_spinor_series(basis: GammaBasis, i: int, xi: complex) -> np.ndarray:
-    """Same boost by direct matrix exponential (cross-check route)."""
-    G = basis.gammas[0] @ basis.gammas[i]
-    return scipy.linalg.expm(-complex(xi) / 2.0 * G)
 
 
 def _is_i_pi(xi: complex) -> bool:

@@ -11,6 +11,14 @@ come in exact conjugate pairs. Under this labeling <L_j(t)|R_i(t)> picks up
 the phase exp(i(E_j − E_i)t), so each <L_i|R_i> is a time-independent
 scalar product and <L_j|R_i> = 0 whenever E_j != E_i.
 
+H is factorized one diagonal block at a time: the blocks are the connected
+components of the graph with an edge wherever an entry of H is exactly
+nonzero, so no tolerance decides them, and each block's vectors are zero
+outside it. An irreducible H is one block and one ``geev``. The
+Pais-Uhlenbeck matrix is two blocks: it is real and its PT is (P⊗P)∘K, so
+it commutes with the linear P⊗P and each parity sector is a block of half
+the dimension.
+
 How far to trust eigenvalue i is its condition number
 κ_i = ||L_i||·||R_i|| / |<L_i|R_i>| (Trefethen & Embree, *Spectra and
 Pseudospectra*, 2005): 1 for a normal matrix, large for a non-normal one,
@@ -96,10 +104,12 @@ class BiorthogonalSystem:
 
 
 def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
-    """Full biorthogonal decomposition of a square complex matrix.
+    """Full biorthogonal decomposition of a square complex matrix, one
+    ``geev`` per diagonal block of its nonzero pattern (``_blocks``).
 
-    Raises ConvergenceError if the QR iteration fails or residuals exceed
-    tol·||H||. Defects are flagged, not fatal: an index is defective when
+    Raises ConvergenceError if the QR iteration fails or the residuals of
+    any block exceed tol·||H||₂ (the largest block norm). Defects are
+    flagged, not fatal: an index is defective when
     κ_i > 1/OVERLAP_FLOOR, and, for n <= DEFECT_SCAN_MAX_DIM, every member
     of a cluster (eigenvalues within DEFECT_CLUSTER_TOL·max(1, max|E|))
     whose geometric multiplicity n − rank(H − Ē·I) (rank rule of
@@ -115,22 +125,26 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
     if not np.all(np.isfinite(H)):
         raise ValueError("matrix has non-finite entries")
 
-    # real dgeev for entrywise-real input: conjugate pairs come out exact
+    # real dgeev for entrywise-real input: conjugate pairs come out exact.
+    # Each block of the nonzero pattern is factorized on its own; one block
+    # is A itself, not a copy
     A = H if np.any(H.imag) else H.real
+    blocks = _blocks(A)
     try:
-        evals, lvecs, rvecs = scipy.linalg.eig(A, left=True, right=True,
-                                               check_finite=False)
+        parts = [_factorize(A if len(blocks) == 1 else A[np.ix_(idx, idx)])
+                 for idx in blocks]
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
-
-    order = _sort_key(evals)
-    evals, lvecs, rvecs = evals[order], lvecs[:, order], rvecs[:, order]
-
-    scale = max(np.linalg.norm(A, 2), 1.0)
-    right_res = float(np.max(np.linalg.norm(
-        _matmul(A, rvecs) - rvecs * evals, axis=0)))
-    left_res = float(np.max(np.linalg.norm(
-        _matmul(A.conj().T, lvecs) - lvecs * np.conj(evals), axis=0)))
+    evals, lvecs, rvecs, norms, right, left = zip(*parts)
+    if len(blocks) == 1:
+        evals, lvecs, rvecs = evals[0], lvecs[0], rvecs[0]
+    else:
+        evals, lvecs, rvecs = _scatter(blocks, evals, lvecs, rvecs)
+        order = _sort_key(evals)
+        evals, lvecs, rvecs = evals[order], lvecs[:, order], rvecs[:, order]
+    # ||A||₂ of a block-diagonal A is its largest block norm
+    scale = max(*norms, 1.0)
+    right_res, left_res = max(right), max(left)
     if max(right_res, left_res) > tol * scale:
         raise ConvergenceError(
             f"eigenvector residual {max(right_res, left_res):.3e} exceeds "
@@ -178,6 +192,65 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
         defective_indices=sorted(defective),
         defects=defects,
     )
+
+
+def _blocks(A) -> list:
+    """Index sets of the diagonal blocks of A, in order of their smallest
+    index: the connected components of the graph with an edge i–j wherever
+    A[i, j] is exactly nonzero. Each round hooks every root onto the
+    smallest root an edge joins it to, then jumps every label to its root;
+    an edge whose ends share a root is dropped for good."""
+    n = A.shape[0]
+    # divmod of the flat indices is several times faster than np.nonzero's
+    # row and column pass on a 400×400 matrix
+    rows, cols = np.divmod(np.flatnonzero(A != 0), n)
+    root = np.arange(n)
+    a, b = rows, cols
+    while True:
+        cross = a != b
+        if not cross.any():
+            break
+        rows, cols, a, b = rows[cross], cols[cross], a[cross], b[cross]
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = root[root]
+            if (jumped == root).all():
+                break
+            root = jumped
+        a, b = root[rows], root[cols]
+    # every label is now the smallest index of its component
+    if not root.any():
+        return [np.arange(n)]
+    order = np.argsort(root, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(root[order])) + 1)
+
+
+def _factorize(A) -> tuple:
+    """One ``geev`` of A: (E, L, R) sorted by (Re, Im), ||A||₂, and the
+    largest right and left residual norms."""
+    evals, lvecs, rvecs = scipy.linalg.eig(A, left=True, right=True,
+                                           check_finite=False)
+    order = _sort_key(evals)
+    evals, lvecs, rvecs = evals[order], lvecs[:, order], rvecs[:, order]
+    right_res = float(np.max(np.linalg.norm(
+        _matmul(A, rvecs) - rvecs * evals, axis=0)))
+    left_res = float(np.max(np.linalg.norm(
+        _matmul(A.conj().T, lvecs) - lvecs * np.conj(evals), axis=0)))
+    return evals, lvecs, rvecs, np.linalg.norm(A, 2), right_res, left_res
+
+
+def _scatter(blocks, evals, lvecs, rvecs) -> tuple:
+    """Eigenvalues and n-length left and right vectors of the whole matrix
+    from those of each block, blocks side by side."""
+    n = sum(len(idx) for idx in blocks)
+    dtype = np.result_type(*rvecs)
+    L, R = np.zeros((n, n), dtype), np.zeros((n, n), dtype)
+    start = 0
+    for idx, left, right in zip(blocks, lvecs, rvecs):
+        cols = slice(start, start + len(idx))
+        L[idx, cols], R[idx, cols] = left, right
+        start += len(idx)
+    return np.concatenate(evals), L, R
 
 
 def _matmul(A, X) -> np.ndarray:

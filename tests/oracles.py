@@ -6,10 +6,14 @@ and its roots from Durand-Kerner simultaneous iteration (no companion
 matrix, no QR). The Pais-Uhlenbeck reference embeds each mode operator in
 the full space before multiplying, independently of the library's
 per-mode products. The spectrum classifier reference pairs eigenvalues by
-repeated global ``argmin`` over the distance matrix.
+repeated global ``argmin`` over the distance matrix. ``full_geev`` runs one
+LAPACK ``geev`` on the whole matrix, the reference for the per-block
+factorization in ``eigendecompose``; ``complex_boost_spinor_series`` takes
+the spinor boost by ``scipy.linalg.expm``.
 """
 
 import numpy as np
+import scipy.linalg
 
 from biortho.fock import Realization, ladder, position_momentum
 from biortho.models import pu_mode_scales
@@ -137,3 +141,24 @@ def greedy_classify(eigenvalues, tol_real, tol_cluster):
         leftovers=sorted((complex(e) for e in complex_evs[alive]),
                          key=lambda e: (e.real, e.imag)),
     )
+
+
+def full_geev(H):
+    """Eigenvalues sorted by (Re, Im) and their condition numbers
+    κ_i = ||L_i||·||R_i|| / |<L_i|R_i>|, from one ``geev`` on the whole of
+    H, whatever its block structure (real ``dgeev`` for real input)."""
+    H = np.asarray(H, dtype=complex)
+    A = H if np.any(H.imag) else H.real
+    evals, lvecs, rvecs = scipy.linalg.eig(A, left=True, right=True)
+    order = np.lexsort((evals.imag, evals.real))
+    evals, lvecs, rvecs = evals[order], lvecs[:, order], rvecs[:, order]
+    overlaps = np.abs(np.einsum("ki,ki->i", lvecs.conj(), rvecs))
+    kappa = np.linalg.norm(lvecs, axis=0) * np.linalg.norm(rvecs, axis=0) / overlaps
+    return evals, kappa
+
+
+def complex_boost_spinor_series(basis, i, xi):
+    """Spinor boost exp(−ξ·γ⁰γ^i/2) by direct matrix exponential, the
+    cross-check of the closed form ``lorentz.complex_boost_spinor``."""
+    G = basis.gammas[0] @ basis.gammas[i]
+    return scipy.linalg.expm(-complex(xi) / 2.0 * G)

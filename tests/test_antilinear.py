@@ -17,12 +17,14 @@ from biortho.antilinear import (
     is_real,
 )
 from biortho.errors import (
+    BiorthoError,
     ConditioningError,
     ConvergenceError,
     DefectiveSystemError,
     NoAntilinearSymmetryError,
     SignAmbiguityError,
     SingularOperatorError,
+    SizeBudgetError,
 )
 from biortho.fock import Realization
 from biortho.models import (
@@ -189,6 +191,31 @@ def test_find_symmetry_spectral_route_gauged_cubic(monkeypatch):
             op = find_antilinear_symmetry(H)
             assert commutes_with(op, H).residual < 1e-9
             assert np.linalg.cond(op.linear_part) < 10
+
+
+def test_nullspace_fallback_refuses_over_its_memory_budget(monkeypatch):
+    # the n²×n² operator would take 268 MB at n = 64 and 1.6 GB at n = 100;
+    # the refusal comes before it is built
+    rng = np.random.default_rng(15)
+    inputs = [_gauged_cubic(n, rng) for n in (64, 100)]
+
+    def kron_forbidden(*args):
+        raise AssertionError("intertwiner operator was built")
+
+    monkeypatch.setattr(np, "kron", kron_forbidden)
+    for H in inputs:
+        with pytest.raises(SizeBudgetError) as excinfo:
+            antilinear._nullspace_intertwiner(H)
+        assert isinstance(excinfo.value, BiorthoError)
+
+    # a spectral M that misses its gate sends find_antilinear_symmetry to
+    # the fallback, which refuses too
+    def spectral_fails(*args):
+        raise ConditioningError("spectral intertwiner missed its gate")
+
+    monkeypatch.setattr(antilinear, "_verified_intertwiner", spectral_fails)
+    with pytest.raises(SizeBudgetError):
+        find_antilinear_symmetry(inputs[0])
 
 
 def test_find_symmetry_jordan_and_degenerate_complex_inputs(monkeypatch):

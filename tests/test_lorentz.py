@@ -7,7 +7,6 @@ from biortho.lorentz import (
     charge_conjugation_matrix,
     charge_conjugation_residual,
     complex_boost_spinor,
-    complex_boost_spinor_series,
     coordinate_inversion,
     cpt_linear_part_check,
     dirac_basis,
@@ -15,6 +14,8 @@ from biortho.lorentz import (
     majorana_from_dirac_unitary,
     vector_boost,
 )
+
+from oracles import complex_boost_spinor_series
 
 BASES = [majorana_basis(), dirac_basis()]
 

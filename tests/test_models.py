@@ -17,7 +17,7 @@ from biortho.models import (
     pu_pt_operator,
     pu_spectrum_formula,
 )
-from biortho.spectral import classify_spectrum, defect_report
+from biortho.spectral import _blocks, classify_spectrum, defect_report
 
 from oracles import faddeev_leverrier, match_distance, pu_fock_kron_reference
 
@@ -237,6 +237,26 @@ def test_pu_fock_pt_residual():
         assert commutes_with(pu_pt_operator(10, 10), H).residual < 1e-10
         # a real matrix also trivially commutes with plain conjugation
         assert commutes_with(identity_op(100), H).residual == 0.0
+
+
+@pytest.mark.parametrize("params", [PUParams(1.0, 1.0, 2.0),
+                                    PUParams.from_alpha_beta(1.0, 1.0, 0.3)],
+                         ids=lambda p: p.regime)
+@pytest.mark.parametrize("n1, n2", [(12, 12), (20, 20), (16, 10)])
+def test_pu_fock_splits_into_two_parity_sectors(params, n1, n2):
+    # a real H with PT = (P⊗P)∘K commutes with the linear P⊗P, so its
+    # nonzero pattern is exactly the two P⊗P sectors, each factorized on
+    # its own by eigendecompose
+    H = pu_hamiltonian_fock(n1, n2, params)
+    parity = np.diagonal(pu_pt_operator(n1, n2).linear_part).real
+    blocks = _blocks(H)
+    assert [len(idx) for idx in blocks] == [n1 * n2 // 2] * 2
+    assert [set(parity[idx]) for idx in blocks] == [{1.0}, {-1.0}]
+
+
+@pytest.mark.parametrize("realization", list(Realization))
+def test_cubic_fock_is_one_block(realization):
+    assert len(_blocks(cubic_hamiltonian(200, realization))) == 1
 
 
 def test_pu_fock_converges_to_formula():

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from biortho.fock import Realization
 from biortho.models import (
@@ -12,12 +15,14 @@ from biortho.models import (
     pu_spectrum_formula,
 )
 from biortho.spectral import (
+    OVERLAP_FLOOR,
+    _blocks,
     classify_spectrum,
     defect_report,
     eigendecompose,
 )
 
-from oracles import charpoly_eigenvalues, greedy_classify, match_distance
+from oracles import charpoly_eigenvalues, full_geev, greedy_classify, match_distance
 
 DIMER_UNBROKEN = np.sqrt(0.75)  # ±sqrt(k² − g²) at k=1, g=0.5
 
@@ -321,3 +326,63 @@ def test_defect_report_matches_eigendecompose_defects():
     assert len(defects) == 2
     for d in defects:
         assert defect_report(M, d.eigenvalue) == d
+
+
+@pytest.mark.parametrize("params", [PUParams(1.0, 1.0, 2.0),
+                                    PUParams.from_alpha_beta(1.0, 1.0, 0.3)],
+                         ids=lambda p: p.regime)
+def test_block_factorization_matches_full_geev(params):
+    H = pu_hamiltonian_fock(12, 12, params)
+    assert len(_blocks(H)) == 2
+    system = eigendecompose(H)
+    evals, kappa = full_geev(H)
+    # each eigenvalue within its own rounding disc κ_i·u·||H||₂
+    disc = kappa * np.finfo(float).eps * np.linalg.norm(H, 2)
+    assert np.all(np.abs(system.eigenvalues - evals) < 1e3 * disc)
+    assert np.allclose(system.condition_numbers, kappa, rtol=1e-8, atol=0.0)
+    assert system.defective_indices == np.flatnonzero(kappa > 1 / OVERLAP_FLOOR).tolist()
+    assert np.max(np.abs(system.overlap_matrix() - np.eye(len(evals)))) < 1e-10
+
+
+def test_permuted_blocks_sharing_an_eigenvalue_are_biorthonormal():
+    # 3 is an eigenvalue of both blocks: the cluster spans two blocks, and
+    # its rank test and biorthogonalization run on the whole matrix
+    rng = np.random.default_rng(43)
+    S1 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    S2 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    B = scipy.linalg.block_diag(S1 @ np.diag([1.0, 2.0, 3.0]) @ np.linalg.inv(S1),
+                                S2 @ np.diag([3.0, -1.0]) @ np.linalg.inv(S2))
+    perm = rng.permutation(5)
+    H = B[np.ix_(perm, perm)]
+    assert len(_blocks(H)) == 2
+    system = eigendecompose(H)
+    assert system.is_diagonalizable
+    assert np.allclose(system.eigenvalues, [-1.0, 1.0, 2.0, 3.0, 3.0], atol=1e-12)
+    assert np.max(np.abs(system.overlap_matrix() - np.eye(5))) < 1e-12
+    assert np.linalg.norm(system.reconstruct() - H) < 1e-12 * np.linalg.norm(H)
+
+
+@st.composite
+def sparsity_patterns(draw):
+    n = draw(st.integers(min_value=1, max_value=30))
+    index = st.integers(min_value=0, max_value=n - 1)
+    entries = draw(st.lists(st.tuples(index, index, st.sampled_from(
+        [1.0, -2.5, 1e-300, 1j, 5e-324])), max_size=2 * n))
+    A = np.zeros((n, n), dtype=complex)
+    for i, j, value in entries:
+        A[i, j] = value
+    return A
+
+
+@given(sparsity_patterns())
+@settings(max_examples=200, deadline=None)
+def test_blocks_match_scipy_connected_components(A):
+    n_blocks, labels = connected_components(A != 0, directed=False)
+    blocks = _blocks(A)
+    assert len(blocks) == n_blocks
+    # every index once, ascending within a block, blocks by smallest index
+    assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(len(A)))
+    assert [idx[0] for idx in blocks] == sorted(idx[0] for idx in blocks)
+    for idx in blocks:
+        assert np.all(np.diff(idx) > 0)
+        assert np.all(labels[idx] == labels[idx[0]])
