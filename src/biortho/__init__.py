@@ -73,6 +73,5 @@ from .spectral import (
     DefectReport,
     SpectrumClassification,
     classify_spectrum,
-    defect_report,
     eigendecompose,
 )

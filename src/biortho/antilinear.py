@@ -21,9 +21,9 @@ from .errors import (
     SizeBudgetError,
 )
 from .spectral import (
-    DEFAULT_TOL_REAL,
     BiorthogonalSystem,
     _blocks,
+    _relative_radius,
     classify_spectrum,
     eigendecompose,
 )
@@ -149,8 +149,9 @@ def _nullspace(A: np.ndarray):
 def find_antilinear_symmetry(H, tol: float = 1e-8) -> AntilinearOp:
     """Construct an antilinear symmetry A = M∘K of H, if one exists.
 
-    Requires the spectrum to be closed under conjugation within ``tol``
-    (otherwise NoAntilinearSymmetryError). If H is entrywise real (every
+    Requires the spectrum to be closed under conjugation by the rule of
+    ``classify_spectrum`` at ``tol``, relative to max(1, max|E|) (otherwise
+    NoAntilinearSymmetryError). If H is entrywise real (every
     imaginary part exactly 0, see ``is_real``) plain conjugation K is
     returned directly. Otherwise M is written down from the
     biorthogonal eigensystem H = R·E·L† (Bender & Mannheim, Phys. Lett. A
@@ -188,8 +189,7 @@ def find_antilinear_symmetry(H, tol: float = 1e-8) -> AntilinearOp:
         if exc.partial is None:
             raise
         system, evals = None, exc.partial[0]
-    scale = max(np.max(np.abs(evals)), 1.0)
-    buckets = classify_spectrum(evals, tol_real=tol * scale, tol_cluster=tol * scale)
+    buckets = classify_spectrum(evals, tol)
     if buckets.leftovers:
         raise NoAntilinearSymmetryError(
             "spectrum is not closed under complex conjugation: "
@@ -291,8 +291,8 @@ def _verified_intertwiner(M: np.ndarray, H: np.ndarray, tol: float) -> Antilinea
 def build_c_operator(system: BiorthogonalSystem, pt: AntilinearOp) -> np.ndarray:
     """Spectral C operator: C = Σ_n c_n |R_n><L_n|.
 
-    An eigenvalue with |Im E| below DEFAULT_TOL_REAL·max(1, max|E|) counts
-    as real. Real eigenvalues take c_n = sign of the (phase-invariant,
+    An eigenvalue counts as real by the rule of ``classify_spectrum``.
+    Real eigenvalues take c_n = sign of the (phase-invariant,
     bilinear) PT norm (PT·R_n)ᵀ·R_n. Members of a complex conjugate pair take c = +1 for
     Im E > 0 and c = −1 for the partner: that is the unique
     Hamiltonian-commuting involution on the pair sector beyond ±identity,
@@ -312,7 +312,7 @@ def build_c_operator(system: BiorthogonalSystem, pt: AntilinearOp) -> np.ndarray
     scale = max(np.max(np.abs(evals)), 1.0)
 
     signs = np.zeros(n)
-    real_mask = np.abs(evals.imag) < DEFAULT_TOL_REAL * scale
+    real_mask = np.abs(evals.imag) < _relative_radius(evals)
     for i in np.nonzero(real_mask)[0]:
         r = system.right_vectors[:, i]
         pt_norm = pt(r).T @ r        # bilinear: invariant under r -> e^{ia} r

@@ -138,13 +138,6 @@ def _float(value) -> float:
     return number
 
 
-def _tolerance(value) -> float:
-    number = _float(value)
-    if number <= 0:
-        raise ValueError("must be > 0")
-    return number
-
-
 def _path(value) -> str:
     if not isinstance(value, str):
         raise TypeError(f"expected a path, got {type(value).__name__}")
@@ -193,8 +186,6 @@ OPTIONS = {
     "realization": ("position-real", _choice(*(r.value for r in Realization)),
                     "position operator realization"),
     "matrix_file": (None, _path, "plain-text matrix (model custom; checks: one more)"),
-    "tol_real": (1e-8, _tolerance, "|Im E| below which a level counts as real"),
-    "tol_cluster": (1e-8, _tolerance, "distance below which eigenvalues pair"),
     "format": ("json", _choice("json", "csv"), "report format (overlap: json only)"),
     "out": (None, _path, "write the report here instead of stdout"),
     "sweep": (None, _sweep, "PARAM:START:STOP:STEPS"),
@@ -295,10 +286,7 @@ def build_model(config: dict):
 def run_spectrum(config: dict) -> dict:
     H, pt = build_model(config)
     system = eigendecompose(H)
-    buckets = classify_spectrum(
-        system.eigenvalues, tol_real=config["tol_real"],
-        tol_cluster=config["tol_cluster"],
-    )
+    buckets = classify_spectrum(system.eigenvalues)
     reality = is_real(H)
     report = {
         "config": config,
@@ -349,9 +337,7 @@ def _sweep_single(config: dict, name: str, value: float) -> dict:
         H, _ = build_model(step_cfg)
     system = eigendecompose(H)
     evals = system.eigenvalues
-    buckets = classify_spectrum(
-        evals, tol_real=config["tol_real"], tol_cluster=config["tol_cluster"]
-    )
+    buckets = classify_spectrum(evals)
     return {
         "value": value,
         "n_real": len(buckets.real_singles),
@@ -387,7 +373,7 @@ def run_overlap(config: dict) -> dict:
     H, _ = build_model(config)
     system = eigendecompose(H)
     trace = overlap_trace(system, t_max=config["t_max"], n_times=config["n_times"])
-    rule = selection_rule_check(system, tol_cluster=config["tol_cluster"])
+    rule = selection_rule_check(system)
     return {
         "config": config,
         "version": __version__,
@@ -472,10 +458,7 @@ def run_checks(config: dict) -> dict:
     if config["matrix_file"]:
         H = read_matrix_file(config["matrix_file"])
         sys_custom = eigendecompose(H)
-        evals = sys_custom.eigenvalues
-        scale = max(float(np.max(np.abs(evals))), 1.0)
-        buckets = classify_spectrum(evals, tol_real=1e-8 * scale,
-                                    tol_cluster=1e-8 * scale)
+        buckets = classify_spectrum(sys_custom.eigenvalues)
         checks.append({
             "name": "custom-matrix-conjugation-closure",
             "residual": float(len(buckets.leftovers)),

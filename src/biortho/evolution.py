@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DefectiveSystemError, PropagatorRangeError
-from .spectral import BiorthogonalSystem
+from .spectral import BiorthogonalSystem, _relative_radius
 
 # np.exp overflows just above 709; keep headroom
 MAX_EXPONENT = 700.0
@@ -156,14 +156,13 @@ class SelectionRuleReport:
         return not self.violations
 
 
-def selection_rule_check(system: BiorthogonalSystem, tol: float = 1e-8,
-                         tol_cluster: float = 1e-8) -> SelectionRuleReport:
+def selection_rule_check(system: BiorthogonalSystem, tol: float = 1e-8) -> SelectionRuleReport:
     """Check that overlaps vanish wherever they must.
 
     With E_j the H† label of row j, a nonzero <L_j|R_i> is allowed only
-    when Re E_i = Re E_j and Im E_i = −Im E_j (within the clustering
-    tolerance); all other entries are reported as violations when they
-    exceed ``tol``.
+    when E_j = conj(E_i), i.e. when E_j and E_i pair by the conjugation
+    rule of ``classify_spectrum``; all other entries are reported as
+    violations when they exceed ``tol``.
     """
     if not system.is_diagonalizable:
         raise DefectiveSystemError(
@@ -172,12 +171,8 @@ def selection_rule_check(system: BiorthogonalSystem, tol: float = 1e-8,
     G = system.overlap_matrix()
     Ei = system.eigenvalues
     Ej = system.left_eigenvalues
-    scale = max(float(np.max(np.abs(Ei))), 1.0)
-
-    allowed = (
-        (np.abs(Ej.real[:, None] - Ei.real[None, :]) < tol_cluster * scale)
-        & (np.abs(Ej.imag[:, None] + Ei.imag[None, :]) < tol_cluster * scale)
-    )
+    allowed = (np.abs(Ej[:, None] - np.conj(Ei)[None, :])
+               < _relative_radius(Ei))
     forbidden_mag = np.where(allowed, 0.0, np.abs(G))
     violations = [
         (int(j), int(i), complex(Ej[j]), complex(Ei[i]), float(forbidden_mag[j, i]))

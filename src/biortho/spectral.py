@@ -41,8 +41,9 @@ import scipy.linalg
 from .errors import ConvergenceError
 
 DEFAULT_TOL = 1e-9
-DEFAULT_TOL_REAL = 1e-8
-DEFAULT_TOL_CLUSTER = 1e-8
+# default tol of the conjugation rule (``classify_spectrum``), relative to
+# max(1, max|E|): rounding moves an eigenvalue in proportion to ||H||
+CONJUGATION_TOL = 1e-8
 # eigenvalues within DEFECT_CLUSTER_TOL·max(1, max|E|) of each other form a
 # cluster; singular values of H − Ē·I above DEFECT_RANK_TOL·||H|| and above
 # twice the cluster's spread count towards the rank that decides its
@@ -166,7 +167,7 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
     # ill-conditioned to solve counts as defective
     defective = set(np.flatnonzero(flagged).tolist())
     defects = []
-    for block in _clusters(evals, _cluster_radius(evals)):
+    for block in _clusters(evals, _relative_radius(evals, DEFECT_CLUSTER_TOL)):
         if len(evals) <= DEFECT_SCAN_MAX_DIM:
             report = _cluster_defect(A, complex(np.mean(evals[block])),
                                      evals[block], scale)
@@ -293,7 +294,7 @@ class SpectrumClassification:
     real_singles: list
     conjugate_pairs: list            # (E, conj-partner), Im > 0 first
     pair_indices: list               # input positions of conjugate_pairs
-    leftovers: list                  # unpaired complex beyond tol_cluster
+    leftovers: list                  # complex eigenvalues without a partner
 
     @property
     def has_warning(self) -> bool:
@@ -305,30 +306,40 @@ class SpectrumClassification:
                 + len(self.leftovers))
 
 
-def classify_spectrum(eigenvalues, tol_real: float = DEFAULT_TOL_REAL,
-                      tol_cluster: float = DEFAULT_TOL_CLUSTER) -> SpectrumClassification:
+def _relative_radius(evals, tol: float = CONJUGATION_TOL) -> float:
+    """tol·max(1, max|E|) over the spectrum ``evals``. At the default tol,
+    |Im E| below it makes a level real and |E_a − conj(E_b)| below it pairs
+    two eigenvalues."""
+    return tol * max(float(np.max(np.abs(evals), initial=0.0)), 1.0)
+
+
+def classify_spectrum(eigenvalues, tol: float = CONJUGATION_TOL) -> SpectrumClassification:
     """Bucket eigenvalues as real / conjugate pairs / leftovers.
 
-    Pairs are matched greedily by minimal |E - conj(E')|; an unpaired
-    complex eigenvalue beyond tol_cluster lands in ``leftovers``, which
-    signals a conjugation-asymmetric spectrum (or too tight a tolerance).
-    ``pair_indices[k]`` holds the positions in ``eigenvalues`` of the two
-    members of ``conjugate_pairs[k]``, in the same order.
+    The one conjugation rule of the package, relative to the spectrum's
+    scale s = max(1, max|E|): a level is real when |Im E| < tol·s, and two
+    complex eigenvalues pair when |E_a − conj(E_b)| < tol·s, matched
+    greedily by minimal distance. A complex eigenvalue left without a
+    partner lands in ``leftovers``, which signals a conjugation-asymmetric
+    spectrum (or too tight a tolerance). ``pair_indices[k]`` holds the
+    positions in ``eigenvalues`` of the two members of
+    ``conjugate_pairs[k]``, in the same order.
     """
     evs = np.asarray(eigenvalues, dtype=complex).ravel()
     if not np.all(np.isfinite(evs)):
         raise ValueError("eigenvalues must be finite")
     order = _sort_key(evs)
     evs = evs[order]
+    radius = _relative_radius(evs, tol)
 
-    real_mask = np.abs(evs.imag) < tol_real
+    real_mask = np.abs(evs.imag) < radius
     real_singles = sorted(evs[real_mask].real.tolist())
 
     complex_evs = evs[~real_mask]
     complex_pos = order[~real_mask]
     # |E_a - conj(E_b)| is already symmetric in (a, b)
     dist = np.abs(complex_evs[:, None] - np.conj(complex_evs)[None, :])
-    a_idx, b_idx = np.nonzero(np.triu(dist < tol_cluster, k=1))
+    a_idx, b_idx = np.nonzero(np.triu(dist < radius, k=1))
     # nearest first; the stable sort keeps row-major order among equal
     # distances, so each accepted pair is the nearest one left open
     rank = np.argsort(dist[a_idx, b_idx], kind="stable")
@@ -362,22 +373,6 @@ class DefectReport:
     @property
     def is_defective(self) -> bool:
         return self.geometric_multiplicity < self.algebraic_multiplicity
-
-
-def defect_report(H, eigenvalue) -> DefectReport:
-    """Algebraic/geometric multiplicity of ``eigenvalue`` in H, by the rule
-    ``eigendecompose`` applies to each cluster: the algebraic multiplicity
-    counts eigenvalues within DEFECT_CLUSTER_TOL·max(1, max|E|) of E.
-    """
-    H = np.asarray(H, dtype=complex)
-    E = complex(eigenvalue)
-    evals = np.linalg.eigvals(H)
-    members = evals[np.abs(evals - E) < _cluster_radius(evals)]
-    return _cluster_defect(H, E, members, max(np.linalg.norm(H, 2), 1.0))
-
-
-def _cluster_radius(evals) -> float:
-    return DEFECT_CLUSTER_TOL * max(np.max(np.abs(evals)), 1.0)
 
 
 def _cluster_defect(H, E: complex, members, scale: float) -> DefectReport:

@@ -107,14 +107,16 @@ def pu_fock_kron_reference(n1, n2, params,
             - g * params.prod_sq.real / 2.0 * (Z @ Z))
 
 
-def greedy_classify(eigenvalues, tol_real, tol_cluster):
-    """``classify_spectrum`` by the O(k³) greedy loop: take the globally
-    closest pair |E_a − conj(E_b)| still open until none is below
-    tol_cluster."""
+def greedy_classify(eigenvalues, tol):
+    """``classify_spectrum`` by the O(k³) greedy loop: with
+    s = max(1, max|E|), levels with |Im E| < tol·s are real, and the
+    globally closest pair |E_a − conj(E_b)| still open is taken until none
+    is below tol·s."""
     evs = np.asarray(eigenvalues, dtype=complex).ravel()
     order = np.lexsort((evs.imag, evs.real))
     evs = evs[order]
-    real_mask = np.abs(evs.imag) < tol_real
+    bound = tol * max(1.0, float(np.max(np.abs(evs))))
+    real_mask = np.abs(evs.imag) < bound
     complex_evs = evs[~real_mask]
     complex_pos = order[~real_mask]
     pairs = []
@@ -123,7 +125,7 @@ def greedy_classify(eigenvalues, tol_real, tol_cluster):
     alive = np.ones(len(complex_evs), dtype=bool)
     while alive.sum() >= 2:
         a, b = np.unravel_index(np.argmin(dist), dist.shape)
-        if dist[a, b] >= tol_cluster:
+        if dist[a, b] >= bound:
             break
         if complex_evs[a].imag < complex_evs[b].imag:
             a, b = b, a

@@ -41,7 +41,7 @@ from biortho.models import (
     pu_hamiltonian_fock,
     pu_spectrum_formula,
 )
-from biortho.spectral import classify_spectrum, defect_report, eigendecompose
+from biortho.spectral import classify_spectrum, eigendecompose
 
 from oracles import charpoly_eigenvalues, match_distance
 
@@ -99,7 +99,7 @@ def test_criterion_02_pu_complex_regime():
     evals = np.linalg.eigvals(pu_hamiltonian_fock(20, 20, params))
     nearest = np.array([evals[np.argmin(np.abs(evals - t))] for t in levels])
     trunc_err = float(np.max(np.abs(nearest - levels)))
-    fock_buckets = classify_spectrum(nearest, tol_real=1e-6, tol_cluster=1e-6)
+    fock_buckets = classify_spectrum(nearest, tol=1e-6)
     assert len(fock_buckets.conjugate_pairs) == 1
     assert len(fock_buckets.real_singles) == 2
 
@@ -112,7 +112,9 @@ def test_criterion_03_pu_exceptional_point():
     params = PUParams(gamma=1.0, omega1=1.0, omega2=1.0)
     M = pu_dynamical_matrix(params).dynamical_matrix
 
-    report = defect_report(M, 1j)
+    system = eigendecompose(M)
+    assert not system.is_diagonalizable
+    report = next(d for d in system.defects if abs(d.eigenvalue - 1j) < 1e-6)
     assert report.algebraic_multiplicity == 2
     assert report.geometric_multiplicity == 1
 

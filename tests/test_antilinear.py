@@ -259,9 +259,7 @@ def test_spectral_and_nullspace_intertwiners_agree_on_equation():
         S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         H = S @ rng.standard_normal((n, n)) @ np.linalg.inv(S)
         system = eigendecompose(H)
-        scale = max(np.max(np.abs(system.eigenvalues)), 1.0)
-        pairs = classify_spectrum(system.eigenvalues, tol_real=1e-8 * scale,
-                                  tol_cluster=1e-8 * scale).pair_indices
+        pairs = classify_spectrum(system.eigenvalues).pair_indices
         for M in (antilinear._spectral_intertwiner(system, pairs),
                   antilinear._nullspace_intertwiner(H)):
             assert np.linalg.svd(M / np.linalg.norm(M), compute_uv=False)[-1] > 1e-8

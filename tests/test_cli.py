@@ -9,7 +9,8 @@ from scipy.sparse.csgraph import connected_components
 from biortho import cli
 from biortho.cli import main, read_matrix_file, write_matrix_file
 from biortho.evolution import AGREEMENT_GATE, overlap_trace
-from biortho.models import PUParams, dimer_hamiltonian, pu_dynamical_matrix
+from biortho.fock import Realization
+from biortho.models import PUParams, cubic_hamiltonian, dimer_hamiltonian, pu_dynamical_matrix
 from biortho.spectral import eigendecompose
 
 
@@ -237,11 +238,9 @@ def test_overlap_on_pu_exceptional_point_fails(tmp_path, capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("extra", [(), ("--tol-real", "1e-6")])
-def test_overlap_selection_rule_ignores_tol_real(capsys, extra):
-    # --tol-real decides which levels count as real, not which overlaps
-    # count as zero: cubic 100 breaks the rule (max forbidden 4.2e-7) either way
-    code, out = run_cli(capsys, "overlap", "--model", "cubic", "--truncation", "100", *extra)
+def test_overlap_selection_rule_fails_on_cubic_100(capsys):
+    # cubic 100 breaks the rule (max forbidden 4.2e-7)
+    code, out = run_cli(capsys, "overlap", "--model", "cubic", "--truncation", "100")
     assert not json.loads(out)["selection_rule"]["ok"]
     assert code == 1
 
@@ -253,6 +252,36 @@ def test_checks_pass_by_default(capsys):
     assert report["all_ok"]
     for check in report["checks"]:
         assert check["ok"], check
+
+
+def test_spectrum_and_checks_agree_on_position_real_cubic_100(tmp_path, capsys):
+    # complex zgeev leaves conjugate partners apart by rounding of order
+    # κ·u·||H||₂; both reports apply the one relative rule, so they count
+    # the same leftovers
+    H = cubic_hamiltonian(100, Realization.POSITION_REAL)
+    code, out = run_cli(capsys, "spectrum", "--model", "cubic", "--truncation", "100")
+    assert code == 0
+    leftovers = [complex(v["re"], v["im"])
+                 for v in json.loads(out)["classification"]["leftovers"]]
+    path = tmp_path / "cubic100.txt"
+    write_matrix_file(path, H)
+    _, out = run_cli(capsys, "checks", "--matrix-file", str(path))
+    [closure] = [c for c in json.loads(out)["checks"]
+                 if c["name"] == "custom-matrix-conjugation-closure"]
+    assert closure["residual"] == len(leftovers)
+    assert closure["ok"] == (not leftovers)
+    # on one BLAS thread every level pairs; threaded BLAS can round the
+    # pair at 51.9 ± 1.59i (κ ≈ 8e8) 2e-8·max|E| apart. A leftover is then
+    # still a pair within its rounding discs, not a level without partner
+    system = eigendecompose(H)
+    disc = system.condition_numbers * np.finfo(float).eps * np.linalg.norm(H, 2)
+    evals = system.eigenvalues
+    for v in leftovers:
+        i = int(np.argmin(np.abs(evals - v)))
+        gaps = np.abs(evals - np.conj(v))
+        gaps[i] = np.inf
+        j = int(np.argmin(gaps))
+        assert gaps[j] < disc[i] + disc[j]
 
 
 def test_checks_flag_corrupted_custom_matrix(tmp_path, capsys):
@@ -432,9 +461,6 @@ def test_csv_fields_parse_as_numbers(capsys, command, columns):
     pytest.param(["spectrum", "--model", "cubic"], {"realization": "foo"}, None,
                  id="realization-unknown"),
     pytest.param(["spectrum"], {"format": "xml"}, None, id="format-unknown"),
-    pytest.param(["spectrum"], {"tol_real": "abc"}, None, id="tol-real-not-number"),
-    pytest.param(["spectrum", "--tol-real", "nan"], None, None, id="tol-real-nan"),
-    pytest.param(["spectrum", "--tol-cluster", "0"], None, None, id="tol-cluster-zero"),
     pytest.param(["spectrum", "--model", "pu"], {"parameters": {"gamma": "x"}}, None,
                  id="parameter-not-number"),
     pytest.param(["spectrum"], {"parameters": [1]}, None, id="parameters-not-object"),
@@ -461,3 +487,20 @@ def test_outside_input_is_config_error_or_accepted(tmp_path, capsys, argv, confi
     else:
         assert (code, out) == run_cli(capsys, *same_as)
         assert code == 0
+
+
+def test_removed_tolerance_config_key_is_unknown(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol_real": 1e-8}))
+    code, out = run_cli(capsys, "spectrum", "--config", str(cfg))
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ConfigError"
+    assert "tol_real" in error["message"]
+
+
+def test_removed_tolerance_flag_is_argparse_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--tol-real", "1e-6"])
+    assert exc.value.code == 2
+    capsys.readouterr()

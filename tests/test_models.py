@@ -17,7 +17,7 @@ from biortho.models import (
     pu_pt_operator,
     pu_spectrum_formula,
 )
-from biortho.spectral import _blocks, classify_spectrum, defect_report
+from biortho.spectral import _blocks, classify_spectrum, eigendecompose
 
 from oracles import faddeev_leverrier, match_distance, pu_fock_kron_reference
 
@@ -156,7 +156,9 @@ def test_pu_characteristic_polynomial_coefficients():
 
 def test_pu_equal_frequency_jordan_block():
     M = pu_dynamical_matrix(PUParams(1.0, 1.0, 1.0)).dynamical_matrix
-    report = defect_report(M, 1j)
+    system = eigendecompose(M)
+    assert not system.is_diagonalizable
+    report = next(d for d in system.defects if abs(d.eigenvalue - 1j) < 1e-6)
     assert report.algebraic_multiplicity == 2
     assert report.geometric_multiplicity == 1
 
@@ -282,7 +284,7 @@ def test_pu_fock_complex_regime_classification():
     targets = pu_spectrum_formula(params, 1, 1).ravel()
     nearest = np.array([evals[np.argmin(np.abs(evals - t))] for t in targets])
     assert np.max(np.abs(nearest - targets)) < 1e-4
-    buckets = classify_spectrum(nearest, tol_real=1e-6, tol_cluster=1e-6)
+    buckets = classify_spectrum(nearest, tol=1e-6)
     assert len(buckets.conjugate_pairs) == 1
     assert np.allclose(sorted(buckets.real_singles), [1.0, 3.0], atol=1e-4)
 
@@ -319,11 +321,10 @@ def test_pu_regime_trichotomy_sweep():
         params = PUParams.from_alpha_beta(1.0, alpha, beta)
         M = pu_dynamical_matrix(params).dynamical_matrix
         freq_evals = np.linalg.eigvals(M)
-        buckets = classify_spectrum(freq_evals, tol_real=1e-10,
-                                    tol_cluster=1e-8)
+        buckets = classify_spectrum(freq_evals)
         if beta == 0.0:
-            report = defect_report(M, 1j * alpha)
-            assert report.is_defective
+            assert any(abs(d.eigenvalue - 1j * alpha) < 1e-6 and d.is_defective
+                       for d in eigendecompose(M).defects)
         else:
             assert len(buckets.conjugate_pairs) == 2
     # the same transition in the truncated Fock picture
@@ -348,7 +349,7 @@ def test_dimer_matrix_and_spectrum():
 def test_dimer_exceptional_point_nilpotent():
     H = dimer_hamiltonian(1.0, 1.0)
     assert np.max(np.abs(H @ H)) == 0.0
-    report = defect_report(H, 0.0)
+    [report] = eigendecompose(H).defects
     assert report.is_defective
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
@@ -10,7 +10,6 @@ from biortho.models import (
     PUParams,
     cubic_hamiltonian,
     dimer_hamiltonian,
-    pu_dynamical_matrix,
     pu_hamiltonian_fock,
     pu_spectrum_formula,
 )
@@ -18,7 +17,6 @@ from biortho.spectral import (
     OVERLAP_FLOOR,
     _blocks,
     classify_spectrum,
-    defect_report,
     eigendecompose,
 )
 
@@ -99,7 +97,7 @@ def test_real_matrix_spectrum_conjugation_closed():
     for _ in range(5):
         H = rng.standard_normal((7, 7))
         evals = np.linalg.eigvals(H)
-        buckets = classify_spectrum(evals, tol_real=1e-8, tol_cluster=1e-8)
+        buckets = classify_spectrum(evals, tol=1e-8)
         assert not buckets.leftovers
 
 
@@ -264,7 +262,7 @@ def test_classify_every_eigenvalue_bucketed_once():
     rng = np.random.default_rng(23)
     evals = rng.standard_normal(9) + 1j * rng.standard_normal(9)
     evals = np.concatenate([evals, np.conj(evals), rng.standard_normal(4)])
-    buckets = classify_spectrum(evals, tol_real=1e-12, tol_cluster=1e-12)
+    buckets = classify_spectrum(evals, tol=1e-12)
     assert buckets.count == len(evals)
     for pair, (a, b) in zip(buckets.conjugate_pairs, buckets.pair_indices):
         assert pair == (evals[a], evals[b])
@@ -284,24 +282,67 @@ def test_classify_matches_greedy_oracle():
     rng = np.random.default_rng(2718)
     for _ in range(300):
         evals = _lattice_spectrum(rng)
-        tol_cluster = float(rng.choice([1e-8, 0.6, 1.1]))
-        fast = classify_spectrum(evals, tol_real=1e-12, tol_cluster=tol_cluster)
-        slow = greedy_classify(evals, tol_real=1e-12, tol_cluster=tol_cluster)
-        assert fast == slow
+        tol = float(rng.choice([1e-8, 0.6, 1.1]))
+        assert classify_spectrum(evals, tol) == greedy_classify(evals, tol)
+
+
+def test_classify_matches_greedy_oracle_on_wide_pairs():
+    # imaginary parts large against the real ones, so a wide tolerance
+    # still leaves complex levels, and pairs tie at equal distances
+    rng = np.random.default_rng(3141)
+    for _ in range(100):
+        k = int(rng.integers(1, 25))
+        evals = (rng.integers(0, 4, k) * 0.5
+                 + 1j * rng.choice([-3.0, -2.0, 0.0, 2.0, 3.0], k))
+        for tol in (0.15, 0.3):
+            assert classify_spectrum(evals, tol) == greedy_classify(evals, tol)
+
+
+def _floats(bound):
+    return st.floats(-bound, bound, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def spectra(draw):
+    """Complex values, some followed by their conjugate nudged by a
+    relative step, some by a nearly real level."""
+    values = draw(st.lists(st.builds(complex, _floats(50.0), _floats(50.0)),
+                           min_size=1, max_size=12))
+    nudge = st.sampled_from([0.0, 1e-12, 3e-9, 2e-8, 1e-6])
+    mirrored = [np.conj(v) * (1.0 + draw(nudge)) for v in values
+                if draw(st.booleans())]
+    nearly_real = [complex(v.real, v.real * draw(nudge)) for v in values
+                   if draw(st.booleans())]
+    return np.array(values + mirrored + nearly_real)
+
+
+@given(spectra(), st.integers(min_value=1, max_value=60))
+@settings(max_examples=200, deadline=None)
+def test_classify_invariant_under_power_of_two_scaling(evals, k):
+    # scaling by 2**k is exact, and so is the relative rule's verdict
+    assume(np.max(np.abs(evals)) >= 1.0)
+    base, scaled = classify_spectrum(evals), classify_spectrum(2.0**k * evals)
+    assert scaled.pair_indices == base.pair_indices
+    assert len(scaled.leftovers) == len(base.leftovers)
+    assert len(scaled.real_singles) == len(base.real_singles)
 
 
 def test_defect_report_nilpotent():
-    report = defect_report(dimer_hamiltonian(1.0, 1.0), 0.0)
+    system = eigendecompose(dimer_hamiltonian(1.0, 1.0))
+    assert not system.is_diagonalizable
+    [report] = system.defects
     assert report.algebraic_multiplicity == 2
     assert report.geometric_multiplicity == 1
     assert report.is_defective
 
 
 def test_defect_report_diagonal_degenerate():
-    report = defect_report(np.diag([5.0, 5.0]), 5.0)
-    assert report.algebraic_multiplicity == 2
-    assert report.geometric_multiplicity == 2
-    assert not report.is_defective
+    system = eigendecompose(np.diag([5.0, 5.0]))
+    # algebraic multiplicity 2, geometric 2
+    assert np.array_equal(system.eigenvalues, [5.0, 5.0])
+    assert np.linalg.matrix_rank(system.right_vectors) == 2
+    assert system.is_diagonalizable
+    assert system.defects == []
 
 
 @pytest.mark.parametrize("H", [
@@ -317,15 +358,6 @@ def test_close_distinct_eigenvalues_are_not_defective(H):
     system = eigendecompose(H)
     assert system.is_diagonalizable
     assert system.defects == []
-    assert not defect_report(H, system.eigenvalues[-1]).is_defective
-
-
-def test_defect_report_matches_eigendecompose_defects():
-    M = pu_dynamical_matrix(PUParams.from_alpha_beta(1.0, 1.0, 0.0)).dynamical_matrix
-    defects = eigendecompose(M).defects
-    assert len(defects) == 2
-    for d in defects:
-        assert defect_report(M, d.eigenvalue) == d
 
 
 @pytest.mark.parametrize("params", [PUParams(1.0, 1.0, 2.0),
