@@ -81,13 +81,19 @@ def commutes_with(op: AntilinearOp, H) -> SymmetryCheck:
 
     Returns ||M·conj(H)·M⁻¹ − H|| / ||H|| (Frobenius) together with the
     condition number of M; raises SingularOperatorError for singular M.
-    A diagonal M = diag(d) costs O(n²): its singular values are |d_i| and
-    the transform is d_i·conj(H_ij)/d_j.
+    A diagonal M = diag(d) costs O(n²) and keeps H's nonzero pattern: its
+    singular values are |d_i| and the transform is d_i·conj(H_ij)/d_j,
+    zero wherever H is.
     """
     H = np.asarray(H, dtype=complex)
     M = op.linear_part
+    if M.shape != H.shape:
+        raise ValueError(f"linear part of shape {M.shape} does not act on H of shape {H.shape}")
+    n = len(M)
     d = np.diagonal(M)
-    diagonal = np.count_nonzero(M) == np.count_nonzero(d)
+    # after its first entry, M's n² − 1 entries fold into n − 1 rows of
+    # n + 1, each ending on a diagonal entry: the rest are off the diagonal
+    diagonal = not M.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].any()
     if diagonal:
         moduli = np.abs(d)
         sigma_max, sigma_min = float(moduli.max()), float(moduli.min())
@@ -99,10 +105,14 @@ def commutes_with(op: AntilinearOp, H) -> SymmetryCheck:
             f"linear part is numerically singular (sigma_min={sigma_min:.3e})"
         )
     cond = sigma_max / sigma_min
-    Hc = np.conj(H) if op.conjugates else H
     if diagonal:
-        transformed = d[:, None] * Hc / d[None, :]
+        nonzero = np.flatnonzero(H)
+        rows, cols = np.divmod(nonzero, n)
+        H = H.reshape(-1)[nonzero]
+        Hc = np.conj(H) if op.conjugates else H
+        transformed = d[rows] * Hc / d[cols]
     else:
+        Hc = np.conj(H) if op.conjugates else H
         transformed = M @ Hc @ np.linalg.inv(M)
     h_norm = np.linalg.norm(H)
     residual = float(np.linalg.norm(transformed - H) / (h_norm if h_norm else 1.0))

@@ -5,19 +5,31 @@ index solves H†|L_i> = conj(E_i)|L_i>, i.e. <L_i|H = E_i<L_i|. Both sides
 come from one LAPACK ``geev`` factorization (scipy.linalg.eig with
 left=True), which back-transforms left and right eigenvectors from the same
 Schur form, so left column i belongs to right column i: the pairing is the
-identity and the H† label of |L_i> is conj(E_i) by construction. Entrywise
-real input runs real ``dgeev``, whose complex eigenvalues and eigenvectors
-come in exact conjugate pairs. Under this labeling <L_j(t)|R_i(t)> picks up
-the phase exp(i(E_j − E_i)t), so each <L_i|R_i> is a time-independent
-scalar product and <L_j|R_i> = 0 whenever E_j != E_i.
+identity and the H† label of |L_i> is conj(E_i) by construction. Under this
+labeling <L_j(t)|R_i(t)> picks up the phase exp(i(E_j − E_i)t), so each
+<L_i|R_i> is a time-independent scalar product and <L_j|R_i> = 0 whenever
+E_j != E_i.
 
-H is factorized one diagonal block at a time: the blocks are the connected
+Real ``dgeev`` runs whenever H is real up to a diagonal gauge
+D = diag(d), d in {1, i}ⁿ: on entrywise-real H (D = I), and on H whose
+entries are each purely real or purely imaginary, with a real diagonal
+and an even number of imaginary entries on every cycle of its nonzero
+pattern, such as the position-real cubic oscillator (d = i on the odd
+Fock states). That is the diagonal case of the real form S⁻¹·H·S of an
+H with antilinear symmetry M∘K (S = a·I + ā·M; for M = parity and
+a = e^{iπ/4}, S = √2·D). A = D⁻¹·H·D is built exactly, its complex
+eigenvalues and eigenvectors come in exact conjugate pairs, and
+R = D·R′, L = D·L′ map its eigenvectors back exactly.
+
+A is factorized one diagonal block at a time: the blocks are the connected
 components of the graph with an edge wherever an entry of H is exactly
 nonzero, so no tolerance decides them, and each block's vectors are zero
 outside it. An irreducible H is one block and one ``geev``. The
 Pais-Uhlenbeck matrix is two blocks: it is real and its PT is (P⊗P)∘K, so
 it commutes with the linear P⊗P and each parity sector is a block of half
-the dimension.
+the dimension. Residuals, condition numbers and the left scaling are
+computed on each block's own rows, and each block's columns are written
+once into their sorted positions.
 
 How far to trust eigenvalue i is its condition number
 κ_i = ||L_i||·||R_i|| / |<L_i|R_i>| (Trefethen & Embree, *Spectra and
@@ -53,6 +65,9 @@ DEFECT_RANK_TOL = 1e-10
 # the rank test (one SVD per cluster) is only trusted, and affordable, on
 # small matrices; larger ones rely on the condition-number flag alone
 DEFECT_SCAN_MAX_DIM = 64
+# above DEFECT_SCAN_MAX_DIM the residual gate's scale is a power-iteration
+# lower bound on ||H||₂ after this many steps (``_norm_lower_bound``)
+NORM_STEPS = 16
 # an index whose condition number exceeds 1/OVERLAP_FLOOR is defective (for
 # the unit geev vectors: |<L_i|R_i>| below the floor)
 OVERLAP_FLOOR = 1e-10
@@ -106,11 +121,13 @@ class BiorthogonalSystem:
 
 def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
     """Full biorthogonal decomposition of a square complex matrix, one
-    ``geev`` per diagonal block of its nonzero pattern (``_blocks``).
+    ``geev`` per diagonal block of its nonzero pattern (``_blocks``), real
+    ``dgeev`` whenever H is real up to a diagonal gauge (``_real_form``).
 
     Raises ConvergenceError if the QR iteration fails or the residuals of
-    any block exceed tol·||H||₂ (the largest block norm). Defects are
-    flagged, not fatal: an index is defective when
+    any block exceed tol·||H||₂ (the largest block norm; above
+    DEFECT_SCAN_MAX_DIM a lower bound on it, ``_norm_lower_bound``).
+    Defects are flagged, not fatal: an index is defective when
     κ_i > 1/OVERLAP_FLOOR, and, for n <= DEFECT_SCAN_MAX_DIM, every member
     of a cluster (eigenvalues within DEFECT_CLUSTER_TOL·max(1, max|E|))
     whose geometric multiplicity n − rank(H − Ē·I) (rank rule of
@@ -126,23 +143,20 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
     if not np.all(np.isfinite(H)):
         raise ValueError("matrix has non-finite entries")
 
-    # real dgeev for entrywise-real input: conjugate pairs come out exact.
-    # Each block of the nonzero pattern is factorized on its own; one block
-    # is A itself, not a copy
-    A = H if np.any(H.imag) else H.real
-    blocks = _blocks(A)
+    # A = D⁻¹·H·D; each block of its nonzero pattern is factorized on its
+    # own, and one block is A itself, not a copy
+    A, odd, blocks = _real_form(H)
+    n = H.shape[0]
     try:
-        parts = [_factorize(A if len(blocks) == 1 else A[np.ix_(idx, idx)])
+        parts = [_factorize(A if len(blocks) == 1 else A[np.ix_(idx, idx)],
+                            n <= DEFECT_SCAN_MAX_DIM)
                  for idx in blocks]
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
     evals, lvecs, rvecs, norms, right, left = zip(*parts)
-    if len(blocks) == 1:
-        evals, lvecs, rvecs = evals[0], lvecs[0], rvecs[0]
-    else:
-        evals, lvecs, rvecs = _scatter(blocks, evals, lvecs, rvecs)
-        order = _sort_key(evals)
-        evals, lvecs, rvecs = evals[order], lvecs[:, order], rvecs[:, order]
+    evals = np.concatenate(evals)
+    order = _sort_key(evals)
+    evals = evals[order]
     # ||A||₂ of a block-diagonal A is its largest block norm
     scale = max(*norms, 1.0)
     right_res, left_res = max(right), max(left)
@@ -150,15 +164,22 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
         raise ConvergenceError(
             f"eigenvector residual {max(right_res, left_res):.3e} exceeds "
             f"{tol:.1e}·||H||",
-            partial=(evals, rvecs, np.conj(evals), lvecs),
+            partial=(evals, _gauge(_assemble(blocks, order, rvecs), odd),
+                     np.conj(evals), _gauge(_assemble(blocks, order, lvecs), odd)),
         )
 
-    overlaps = np.einsum("ki,ki->i", lvecs.conj(), rvecs)
-    norms = np.linalg.norm(lvecs, axis=0) * np.linalg.norm(rvecs, axis=0)
-    with np.errstate(divide="ignore"):
-        kappa = norms / np.abs(overlaps)
+    # κ and the left scaling need only each block's own rows
+    kappa = []
+    for L, R in zip(lvecs, rvecs):
+        overlaps = np.einsum("ki,ki->i", L.conj(), R)
+        with np.errstate(divide="ignore"):
+            k = np.linalg.norm(L, axis=0) * np.linalg.norm(R, axis=0) / np.abs(overlaps)
+        kept = ~(k > 1.0 / OVERLAP_FLOOR)
+        L[:, kept] /= np.conj(overlaps[kept])
+        kappa.append(k)
+    kappa = np.concatenate(kappa)[order]
+    lvecs, rvecs = _assemble(blocks, order, lvecs), _assemble(blocks, order, rvecs)
     flagged = kappa > 1.0 / OVERLAP_FLOOR
-    lvecs[:, ~flagged] /= np.conj(overlaps[~flagged])
     # a cluster whose geometric multiplicity falls short of its size is a
     # Jordan block, however well conditioned geev's vectors look. geev
     # back-transforms each vector on its own, so inside any other cluster
@@ -168,7 +189,7 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
     defective = set(np.flatnonzero(flagged).tolist())
     defects = []
     for block in _clusters(evals, _relative_radius(evals, DEFECT_CLUSTER_TOL)):
-        if len(evals) <= DEFECT_SCAN_MAX_DIM:
+        if n <= DEFECT_SCAN_MAX_DIM:
             report = _cluster_defect(A, complex(np.mean(evals[block])),
                                      evals[block], scale)
             if report.is_defective:
@@ -185,8 +206,8 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
     return BiorthogonalSystem(
         matrix=H,
         eigenvalues=evals,
-        right_vectors=rvecs,
-        left_vectors=lvecs,
+        right_vectors=_gauge(rvecs, odd),
+        left_vectors=_gauge(lvecs, odd),
         condition_numbers=kappa,
         right_residual=right_res,
         left_residual=left_res,
@@ -195,16 +216,73 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
     )
 
 
+def _real_form(H) -> tuple:
+    """(A, odd, blocks): A = D⁻¹·H·D for D = diag(i^odd), and the diagonal
+    blocks of A (``_blocks``). A is real whenever some d in {1, i}ⁿ makes
+    it so (odd is None for entrywise-real H, where D = I); otherwise A = H
+    and odd is None.
+
+    H_jk·d_k/d_j is real for every entry exactly when each entry is purely
+    real or purely imaginary, the diagonal is real, and d_j and d_k agree
+    across every real entry and differ across every imaginary one, i.e.
+    every cycle crosses an even number of imaginary entries. Node j of a
+    doubled graph stands for d_j = 1 and node n + j for d_j = i; a real
+    entry joins j–k and n+j–n+k, an imaginary one j–n+k and n+j–k. D exists
+    when no j shares a component with n + j; the component holding a
+    block's smallest index m (with d_m = 1) then has the smaller label.
+    Exact: no tolerance decides it, and A only copies or negates parts of
+    H's entries."""
+    if not np.any(H.imag):
+        A = H.real
+        return A, None, _blocks(A)
+    re, im = H.real != 0, H.imag != 0
+    if (re & im).any() or np.diagonal(im).any():
+        return H, None, _blocks(H)
+    n = H.shape[0]
+    rows, cols = np.divmod(np.flatnonzero(re), n)
+    imag = np.flatnonzero(im)
+    i_rows, i_cols = np.divmod(imag, n)
+    root = _components(np.concatenate((rows, rows + n, i_rows, i_rows + n)),
+                       np.concatenate((cols, cols + n, i_cols + n, i_cols)),
+                       2 * n)
+    at_one, at_i = root[:n], root[n:]
+    # either way, a block's smallest index labels one of its two copies
+    blocks = _split(np.minimum(at_one, at_i))
+    if (at_one == at_i).any():
+        return H, None, blocks
+    odd = at_one > at_i
+    # at an imaginary entry H_jk = i·h, D⁻¹·H·D reads h where d_j = i and
+    # −h where d_k = i
+    A = np.array(H.real)
+    A.flat[imag] = np.where(odd[i_rows], 1.0, -1.0) * H.imag.flat[imag]
+    return A, odd, blocks
+
+
+def _gauge(X, odd) -> np.ndarray:
+    """D·X for D = diag(i^odd): rows in ``odd`` times i, exactly."""
+    if odd is None:
+        return X
+    X = X.astype(complex, copy=False)
+    X[odd] *= 1j
+    return X
+
+
 def _blocks(A) -> list:
     """Index sets of the diagonal blocks of A, in order of their smallest
     index: the connected components of the graph with an edge i–j wherever
-    A[i, j] is exactly nonzero. Each round hooks every root onto the
-    smallest root an edge joins it to, then jumps every label to its root;
-    an edge whose ends share a root is dropped for good."""
+    A[i, j] is exactly nonzero."""
     n = A.shape[0]
     # divmod of the flat indices is several times faster than np.nonzero's
     # row and column pass on a 400×400 matrix
-    rows, cols = np.divmod(np.flatnonzero(A != 0), n)
+    return _split(_components(*np.divmod(np.flatnonzero(A != 0), n), n))
+
+
+def _components(rows, cols, n: int) -> np.ndarray:
+    """Label of each of n nodes: the smallest node of its connected
+    component in the graph with edges rows[k]–cols[k]. Each round hooks
+    every root onto the smallest root an edge joins it to, then jumps every
+    label to its root; an edge whose ends share a root is dropped for
+    good."""
     root = np.arange(n)
     a, b = rows, cols
     while True:
@@ -219,16 +297,21 @@ def _blocks(A) -> list:
                 break
             root = jumped
         a, b = root[rows], root[cols]
-    # every label is now the smallest index of its component
+    return root
+
+
+def _split(root) -> list:
+    """Index sets sharing a label, ascending, in order of their label."""
     if not root.any():
-        return [np.arange(n)]
+        return [np.arange(len(root))]
     order = np.argsort(root, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(root[order])) + 1)
 
 
-def _factorize(A) -> tuple:
-    """One ``geev`` of A: (E, L, R) sorted by (Re, Im), ||A||₂, and the
-    largest right and left residual norms."""
+def _factorize(A, exact_norm: bool) -> tuple:
+    """One ``geev`` of A: (E, L, R) sorted by (Re, Im), ||A||₂ (or, unless
+    ``exact_norm``, its lower bound ``_norm_lower_bound``), and the largest
+    right and left residual norms."""
     evals, lvecs, rvecs = scipy.linalg.eig(A, left=True, right=True,
                                            check_finite=False)
     order = _sort_key(evals)
@@ -237,21 +320,44 @@ def _factorize(A) -> tuple:
         _matmul(A, rvecs) - rvecs * evals, axis=0)))
     left_res = float(np.max(np.linalg.norm(
         _matmul(A.conj().T, lvecs) - lvecs * np.conj(evals), axis=0)))
-    return evals, lvecs, rvecs, np.linalg.norm(A, 2), right_res, left_res
+    norm = np.linalg.norm(A, 2) if exact_norm else _norm_lower_bound(A)
+    return evals, lvecs, rvecs, norm, right_res, left_res
 
 
-def _scatter(blocks, evals, lvecs, rvecs) -> tuple:
-    """Eigenvalues and n-length left and right vectors of the whole matrix
-    from those of each block, blocks side by side."""
-    n = sum(len(idx) for idx in blocks)
-    dtype = np.result_type(*rvecs)
-    L, R = np.zeros((n, n), dtype), np.zeros((n, n), dtype)
+def _norm_lower_bound(A) -> float:
+    """||A·x||, less its rounding, for the unit x that NORM_STEPS steps of
+    power iteration on A^H·A reach from the all-ones vector: a lower bound
+    on ||A||₂ in O(n²) per step, where the exact norm is a full SVD.
+    Deterministic, and 0.98 of ||A||₂ or more on the Pais-Uhlenbeck sectors
+    and the cubic oscillator."""
+    n = A.shape[1]
+    x = np.full(n, n ** -0.5)
+    for _ in range(NORM_STEPS):
+        x = np.conj(np.conj(A @ x) @ A)
+        size = np.linalg.norm(x)
+        if not size:
+            return 0.0
+        x /= size
+    # the products and norms round by a few n·u each
+    return float(np.linalg.norm(A @ x)) * (1.0 - 4 * (n + 1) * np.finfo(float).eps)
+
+
+def _assemble(blocks, order, vectors) -> np.ndarray:
+    """n×n array whose column p is column order[p] of the blocks'
+    ``vectors`` side by side, each block in its own rows and zero
+    elsewhere."""
+    if len(blocks) == 1:
+        # the one block is already sorted, so ``order`` is the identity
+        return vectors[0]
+    n = len(order)
+    where = np.empty(n, dtype=int)
+    where[order] = np.arange(n)
+    out = np.zeros((n, n), np.result_type(*vectors))
     start = 0
-    for idx, left, right in zip(blocks, lvecs, rvecs):
-        cols = slice(start, start + len(idx))
-        L[idx, cols], R[idx, cols] = left, right
+    for idx, block in zip(blocks, vectors):
+        out[np.ix_(idx, where[start:start + len(idx)])] = block
         start += len(idx)
-    return np.concatenate(evals), L, R
+    return out
 
 
 def _matmul(A, X) -> np.ndarray:

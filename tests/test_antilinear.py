@@ -102,13 +102,22 @@ def test_diagonal_linear_part_matches_explicit_residual():
     n = 12
     d = rng.uniform(0.3, 4.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
     D = np.diag(d)
-    H = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    for conjugates in (True, False):
-        check = commutes_with(AntilinearOp(D, conjugates=conjugates), H)
-        Hc = np.conj(H) if conjugates else H
-        explicit = np.linalg.norm(D @ Hc @ np.linalg.inv(D) - H) / np.linalg.norm(H)
-        assert abs(check.residual - explicit) < 1e-12
-        assert abs(check.condition_number - np.linalg.cond(D)) < 1e-12
+    dense = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    # the diagonal route reads only H's nonzero entries
+    sparse = dense * (rng.uniform(size=(n, n)) < 0.3)
+    for H in (dense, sparse):
+        for conjugates in (True, False):
+            check = commutes_with(AntilinearOp(D, conjugates=conjugates), H)
+            Hc = np.conj(H) if conjugates else H
+            explicit = np.linalg.norm(D @ Hc @ np.linalg.inv(D) - H) / np.linalg.norm(H)
+            assert abs(check.residual - explicit) < 1e-12
+            assert abs(check.condition_number - np.linalg.cond(D)) < 1e-12
+
+
+@pytest.mark.parametrize("M", [np.eye(3), np.ones((3, 3))], ids=["diagonal", "dense"])
+def test_linear_part_of_another_size_rejected(M):
+    with pytest.raises(ValueError):
+        commutes_with(AntilinearOp(M), np.eye(2))
 
 
 def test_is_real_reports():

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,33 +259,48 @@ def test_checks_pass_by_default(capsys):
 
 
 def test_spectrum_and_checks_agree_on_position_real_cubic_100(tmp_path, capsys):
-    # complex zgeev leaves conjugate partners apart by rounding of order
-    # κ·u·||H||₂; both reports apply the one relative rule, so they count
-    # the same leftovers
+    # both factorize the same gauge-real matrix with real dgeev, whose
+    # conjugate pairs are exact: no leftovers in either report
     H = cubic_hamiltonian(100, Realization.POSITION_REAL)
     code, out = run_cli(capsys, "spectrum", "--model", "cubic", "--truncation", "100")
     assert code == 0
-    leftovers = [complex(v["re"], v["im"])
-                 for v in json.loads(out)["classification"]["leftovers"]]
+    assert json.loads(out)["classification"]["leftovers"] == []
     path = tmp_path / "cubic100.txt"
     write_matrix_file(path, H)
     _, out = run_cli(capsys, "checks", "--matrix-file", str(path))
     [closure] = [c for c in json.loads(out)["checks"]
                  if c["name"] == "custom-matrix-conjugation-closure"]
-    assert closure["residual"] == len(leftovers)
-    assert closure["ok"] == (not leftovers)
-    # on one BLAS thread every level pairs; threaded BLAS can round the
-    # pair at 51.9 ± 1.59i (κ ≈ 8e8) 2e-8·max|E| apart. A leftover is then
-    # still a pair within its rounding discs, not a level without partner
-    system = eigendecompose(H)
-    disc = system.condition_numbers * np.finfo(float).eps * np.linalg.norm(H, 2)
-    evals = system.eigenvalues
-    for v in leftovers:
-        i = int(np.argmin(np.abs(evals - v)))
-        gaps = np.abs(evals - np.conj(v))
-        gaps[i] = np.inf
-        j = int(np.argmin(gaps))
-        assert gaps[j] < disc[i] + disc[j]
+    assert closure["residual"] == 0
+    assert closure["ok"]
+
+
+def _classification_counts(report: dict) -> tuple:
+    buckets = report["classification"]
+    return tuple(len(buckets[key]) for key in ("real_singles", "conjugate_pairs", "leftovers"))
+
+
+@pytest.mark.parametrize("truncation", ["100", "200"])
+def test_position_real_cubic_has_no_leftovers(truncation, capsys):
+    code, out = run_cli(capsys, "spectrum", "--model", "cubic", "--truncation", truncation)
+    assert code == 0
+    assert _classification_counts(json.loads(out))[2] == 0
+
+
+def test_position_real_cubic_100_classifies_as_position_imaginary_on_two_threads():
+    # complex zgeev split the pair at 51.9 ± 1.59i (κ ≈ 8e8) by 1e-8 or
+    # 2e-8·max|E| depending on the BLAS thread count; the gauge-real form
+    # pairs it exactly on any
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    counts = {}
+    for realization in ("position-real", "position-imaginary"):
+        result = subprocess.run(
+            [sys.executable, "-m", "biortho.cli", "spectrum", "--model", "cubic",
+             "--truncation", "100", "--realization", realization],
+            capture_output=True, text=True, env=env, check=True, timeout=120)
+        counts[realization] = _classification_counts(json.loads(result.stdout))
+    assert counts["position-real"] == counts["position-imaginary"]
+    assert counts["position-real"][2] == 0
 
 
 def test_checks_flag_corrupted_custom_matrix(tmp_path, capsys):

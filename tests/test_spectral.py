@@ -3,8 +3,10 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.sparse.csgraph import connected_components
 
+from biortho.errors import ConvergenceError
 from biortho.fock import Realization
 from biortho.models import (
     PUParams,
@@ -16,6 +18,8 @@ from biortho.models import (
 from biortho.spectral import (
     OVERLAP_FLOOR,
     _blocks,
+    _norm_lower_bound,
+    _real_form,
     classify_spectrum,
     eigendecompose,
 )
@@ -418,3 +422,125 @@ def test_blocks_match_scipy_connected_components(A):
     for idx in blocks:
         assert np.all(np.diff(idx) > 0)
         assert np.all(labels[idx] == labels[idx[0]])
+
+
+@st.composite
+def gauged_real_matrices(draw):
+    """(B, d): a real B whose entries vanish outside random diagonal blocks
+    on shuffled indices, and phases d in {1, i}ⁿ, with d = 1 at the
+    smallest index of each block of B's nonzero pattern (the gauge is only
+    fixed up to a flip of every phase of a block)."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    labels = draw(arrays(int, n, elements=st.integers(0, 3)))
+    values = draw(arrays(float, (n, n), elements=st.sampled_from([0.0, 0.0, 1.0, -1.0, 2.5])
+                         | st.floats(-2.0, 2.0, allow_subnormal=False)))
+    B = values * (labels[:, None] == labels[None, :])
+    odd = draw(arrays(bool, n))
+    _, component = connected_components(B != 0, directed=False)
+    first = np.unique(component, return_index=True)[1]
+    odd ^= odd[first[component]]
+    return B, np.where(odd, 1j, 1.0)
+
+
+@given(gauged_real_matrices())
+@settings(max_examples=200, deadline=None)
+def test_gauge_real_matrix_factorizes_as_its_real_form(case):
+    # H = D·B·D⁻¹ runs dgeev on B itself, and maps back exactly
+    B, d = case
+    H = B * (d[:, None] / d[None, :])
+    try:
+        real = eigendecompose(B)
+    except ConvergenceError:
+        with pytest.raises(ConvergenceError):
+            eigendecompose(H)
+        return
+    gauged = eigendecompose(H)
+    assert gauged.matrix is H
+    np.testing.assert_array_equal(gauged.eigenvalues, real.eigenvalues)
+    np.testing.assert_array_equal(gauged.right_vectors, d[:, None] * real.right_vectors)
+    np.testing.assert_array_equal(gauged.left_vectors, d[:, None] * real.left_vectors)
+    assert gauged.right_residual == real.right_residual
+    assert gauged.left_residual == real.left_residual
+    np.testing.assert_array_equal(gauged.condition_numbers, real.condition_numbers)
+    assert gauged.defective_indices == real.defective_indices
+
+
+def test_position_real_cubic_gauge_is_the_fock_parity():
+    # p² moves the Fock level by an even number and is real, i·x³ by an
+    # odd number and is imaginary: d = i on the odd Fock states
+    H = cubic_hamiltonian(60, Realization.POSITION_REAL)
+    A, odd, blocks = _real_form(H)
+    assert np.array_equal(odd, np.arange(60) % 2 == 1)
+    assert len(blocks) == 1 and not np.iscomplexobj(A)
+    d = np.where(odd, 1j, 1.0)
+    assert np.array_equal(d[:, None] * A / d[None, :], H)
+
+
+@pytest.mark.parametrize("H", [
+    np.array([[1.0, 1.0 + 1.0j], [1.0, 0.0]]),
+    dimer_hamiltonian(0.5, 1.0),
+    np.array([[0.0, 1j, 1j], [1j, 0.0, 1j], [1j, 1j, 0.0]]),
+    np.array([[0.0, 1.0, 1j], [1.0, 0.0, 1.0], [1j, 1.0, 2.0]]),
+    scipy.linalg.block_diag([[0.0, 1j, 1j], [1j, 0.0, 1j], [1j, 1j, 0.0]],
+                            [[1.0, 2j], [3j, 0.0]])[np.ix_([3, 0, 4, 2, 1], [3, 0, 4, 2, 1])],
+], ids=["entry-both-parts", "imaginary-diagonal", "odd-imaginary-cycle",
+        "one-imaginary-entry-in-a-cycle", "odd-cycle-beside-a-gauge-real-block"])
+def test_matrix_without_real_gauge_stays_complex(H):
+    A, odd, blocks = _real_form(np.asarray(H, dtype=complex))
+    assert np.iscomplexobj(A) and odd is None
+    assert [idx.tolist() for idx in blocks] == [idx.tolist() for idx in _blocks(H)]
+    system = eigendecompose(H)
+    assert system.right_residual < 1e-12 * np.linalg.norm(H, 2)
+
+
+def test_even_imaginary_cycle_has_real_gauge():
+    H = np.array([[0.0, 1j, 0.0, 2j],
+                  [1j, 1.0, 3j, 0.0],
+                  [0.0, 1j, 0.0, 1j],
+                  [-1j, 0.0, 1j, 0.0]])
+    A, odd, _ = _real_form(H)
+    assert np.array_equal(odd, [False, True, False, True])
+    assert not np.iscomplexobj(A)
+    assert match_distance(eigendecompose(H).eigenvalues, np.linalg.eigvals(H)) < 1e-12
+
+
+def test_convergence_error_partial_holds_vectors_of_h():
+    # two gauge-real blocks on shuffled indices; tol 0 fails the gate
+    rng = np.random.default_rng(5)
+    B = scipy.linalg.block_diag(cubic_hamiltonian(30, Realization.POSITION_REAL),
+                                cubic_hamiltonian(20, Realization.POSITION_REAL))
+    perm = rng.permutation(50)
+    H = B[np.ix_(perm, perm)]
+    assert len(_real_form(H)[2]) == 2
+    with pytest.raises(ConvergenceError) as info:
+        eigendecompose(H, tol=0.0)
+    evals, rvecs, levals, lvecs = info.value.partial
+    bound = 1e-9 * np.linalg.norm(H, 2)
+    assert np.max(np.linalg.norm(H @ rvecs - rvecs * evals, axis=0)) < bound
+    assert np.max(np.linalg.norm(H.conj().T @ lvecs - lvecs * levals, axis=0)) < bound
+
+
+@given(st.integers(min_value=1, max_value=12).flatmap(lambda n: arrays(
+    complex, (n, n), elements=st.sampled_from([0, 1, -1, 1e-3, 1j])
+    | st.complex_numbers(max_magnitude=1e3, allow_subnormal=False))), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_norm_lower_bound_is_at_most_the_norm(A, real):
+    A = A.real if real else A
+    assert _norm_lower_bound(A) <= np.linalg.norm(A, 2)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: pu_hamiltonian_fock(20, 20, PUParams(1.0, 1.0, 2.0)),
+    lambda: pu_hamiltonian_fock(40, 40, PUParams(1.0, 1.0, 2.0)),
+    lambda: pu_hamiltonian_fock(16, 16, PUParams.from_alpha_beta(1.0, 1.0, 0.3)),
+    lambda: cubic_hamiltonian(200, Realization.POSITION_REAL),
+    lambda: cubic_hamiltonian(200, Realization.POSITION_IMAGINARY),
+], ids=["pu-20-20", "pu-40-40", "pu-16-16-pair", "cubic-200-position-real",
+        "cubic-200-position-imaginary"])
+def test_norm_lower_bound_is_tight_on_the_model_blocks(build):
+    # the gate's scale above DEFECT_SCAN_MAX_DIM: within 5% of ||A||₂ on
+    # every block eigendecompose factorizes
+    A, _, blocks = _real_form(np.asarray(build(), dtype=complex))
+    for idx in blocks:
+        block = A[np.ix_(idx, idx)]
+        assert _norm_lower_bound(block) >= 0.95 * np.linalg.norm(block, 2)
