@@ -90,11 +90,8 @@ def commutes_with(op: AntilinearOp, H) -> SymmetryCheck:
     if M.shape != H.shape:
         raise ValueError(f"linear part of shape {M.shape} does not act on H of shape {H.shape}")
     n = len(M)
-    d = np.diagonal(M)
-    # after its first entry, M's n² − 1 entries fold into n − 1 rows of
-    # n + 1, each ending on a diagonal entry: the rest are off the diagonal
-    diagonal = not M.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].any()
-    if diagonal:
+    d = _diagonal(M)
+    if d is not None:
         moduli = np.abs(d)
         sigma_max, sigma_min = float(moduli.max()), float(moduli.min())
     else:
@@ -105,7 +102,7 @@ def commutes_with(op: AntilinearOp, H) -> SymmetryCheck:
             f"linear part is numerically singular (sigma_min={sigma_min:.3e})"
         )
     cond = sigma_max / sigma_min
-    if diagonal:
+    if d is not None:
         nonzero = np.flatnonzero(H)
         rows, cols = np.divmod(nonzero, n)
         H = H.reshape(-1)[nonzero]
@@ -117,6 +114,16 @@ def commutes_with(op: AntilinearOp, H) -> SymmetryCheck:
     h_norm = np.linalg.norm(H)
     residual = float(np.linalg.norm(transformed - H) / (h_norm if h_norm else 1.0))
     return SymmetryCheck(residual=residual, condition_number=cond)
+
+
+def _diagonal(M: np.ndarray) -> np.ndarray | None:
+    """M's diagonal if every entry off it is exactly zero, else None."""
+    n = len(M)
+    # after its first entry, M's n² − 1 entries fold into n − 1 rows of
+    # n + 1, each ending on a diagonal entry: the rest are off the diagonal
+    if M.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].any():
+        return None
+    return np.diagonal(M)
 
 
 def anticommutator_with(C: np.ndarray, op: AntilinearOp) -> np.ndarray:
@@ -159,38 +166,58 @@ def _nullspace(A: np.ndarray):
 def find_antilinear_symmetry(H, tol: float = 1e-8) -> AntilinearOp:
     """Construct an antilinear symmetry A = M∘K of H, if one exists.
 
-    Requires the spectrum to be closed under conjugation by the rule of
-    ``classify_spectrum`` at ``tol``, relative to max(1, max|E|) (otherwise
-    NoAntilinearSymmetryError). If H is entrywise real (every
-    imaginary part exactly 0, see ``is_real``) plain conjugation K is
-    returned directly. Otherwise M is written down from the
-    biorthogonal eigensystem H = R·E·L† (Bender & Mannheim, Phys. Lett. A
-    374, 1616 (2010)): M = R[:, π]·diag(c)·Lᵀ, where π swaps the two members
-    of each conjugate pair and fixes real eigenvalues, so M·conj(R_i) =
-    c_i·R_π(i) and M·conj(H) = H·M for every nonzero c. The phases c_i are
-    those of the leading eigenvector of W = G ∘ G[π][:, π] with G = R†R:
-    if H has an antiunitary symmetry and a simple spectrum they make M
-    unitary (c = 1 can leave M nearly singular). Groups of eigenvectors
-    orthogonal to all the others (block-diagonal H, or H with a unitary
-    symmetry) leave W reducible; each connected block of W takes the phases
-    of its own leading eigenvector. This costs O(n³).
+    Three routes, in order; the first M to pass both gates,
+    σ_min(M/‖M‖_F) ≥ 1e-8 and ``commutes_with`` residual ≤ ``tol``, is
+    returned:
 
-    Either route must pass two gates: σ_min(M/‖M‖_F) ≥ 1e-8 and
-    ``commutes_with`` residual ≤ ``tol``. When the eigensystem is defective
-    (a Jordan block, in any basis) or fails its residual check, or the
-    spectral M fails a gate (for example eigenvectors too non-normal to
-    reach ``tol``), M is instead picked from the nullspace of
-    X -> H·X − X·conj(H), an O(n⁶) SVD, by a deterministic scan that
-    maximizes the smallest singular value, plus ``N_RANDOM_CANDIDATES``
-    seeded random combinations. ConditioningError if that fails too;
-    SizeBudgetError if the fallback's operator would exceed
-    NULLSPACE_MAX_BYTES (from n = 64 on).
+    1. Diagonal, O(nnz) after an O(n²) scan of H's nonzero pattern, with no
+       eigendecomposition. A diagonal M = diag(m) intertwines H exactly
+       when m_j/m_k = H_jk/conj(H_jk) on every nonzero entry, so each
+       connected block of the pattern allows at most one m up to a phase;
+       ``_diagonal_intertwiner`` walks it with m = 1 at the block's smallest
+       index, and the gate decides whether that m is a symmetry. This
+       covers parity, P⊗P and every rephasing D·P·D̄ of them in the Fock
+       and position bases (Bender & Mannheim, Phys. Lett. A 374, 1616
+       (2010)). An entrywise-real H (every imaginary part exactly 0, see
+       ``is_real``) gives m ≡ 1 and plain conjugation K, M = I exactly.
+    2. Spectral, O(n³). The spectrum must be closed under conjugation by
+       the rule of ``classify_spectrum`` at ``tol``, relative to
+       max(1, max|E|) (otherwise NoAntilinearSymmetryError; the diagonal
+       route needs no such test, since its verified M proves closure). M
+       is written down from the biorthogonal eigensystem H = R·E·L†:
+       M = R[:, π]·diag(c)·Lᵀ, where π swaps the two members of each
+       conjugate pair and fixes real eigenvalues, so M·conj(R_i) =
+       c_i·R_π(i) and M·conj(H) = H·M for every nonzero c. The phases c_i
+       are those of the leading eigenvector of W = G ∘ G[π][:, π] with
+       G = R†R: if H has an antiunitary symmetry and a simple spectrum
+       they make M unitary (c = 1 can leave M nearly singular). Groups of
+       eigenvectors orthogonal to all the others (block-diagonal H, or H
+       with a unitary symmetry) leave W reducible; each connected block of
+       W takes the phases of its own leading eigenvector.
+    3. Nullspace, O(n⁶), when the eigensystem is defective (a Jordan block,
+       in any basis) or fails its residual check, or the spectral M fails
+       a gate (for example eigenvectors too non-normal to reach ``tol``):
+       M is picked from the nullspace of X -> H·X − X·conj(H) by a
+       deterministic scan that maximizes the smallest singular value, plus
+       ``N_RANDOM_CANDIDATES`` seeded random combinations.
+       ConditioningError if that fails too; SizeBudgetError if its
+       operator would exceed NULLSPACE_MAX_BYTES (from n = 64 on).
+
+    ValueError for an H that is not square, is empty or has a non-finite
+    entry, before any route runs.
     """
     H = np.asarray(H, dtype=complex)
-    n = H.shape[0]
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {H.shape}")
+    if H.shape[0] < 1:
+        raise ValueError("empty matrix")
+    if not np.all(np.isfinite(H)):
+        raise ValueError("matrix has non-finite entries")
 
-    if is_real(H).is_real:
-        return identity_op(n)
+    try:
+        return _verified_intertwiner(_diagonal_intertwiner(H), H, tol)
+    except ConditioningError:
+        pass
 
     try:
         system = eigendecompose(H)
@@ -214,6 +241,45 @@ def find_antilinear_symmetry(H, tol: float = 1e-8) -> AntilinearOp:
             pass
     return _verified_intertwiner(
         _nullspace_intertwiner(H), H, tol)
+
+
+def _diagonal_intertwiner(H: np.ndarray) -> np.ndarray:
+    """diag(m) with m_j = m_k·H_jk/conj(H_jk) along a depth-first spanning
+    tree of each connected block of H's nonzero pattern, m = 1 at the
+    block's smallest index: the only diagonal intertwiner, up to a phase
+    per block, that H can have. Entries the tree does not use are left to
+    the caller's residual gate. Real H gives m ≡ 1 exactly."""
+    n = H.shape[0]
+    nonzero = H != 0
+    # edge k–j wherever H_jk or H_kj is nonzero, grouped by k
+    k, j = np.divmod(np.flatnonzero(nonzero | nonzero.T), n)
+    h = H[j, k]
+    # m_j/m_k is H_jk/conj(H_jk), or conj(H_kj)/H_kj where H_jk = 0: the
+    # square of the unit phase u = h/|h|, taken part by part so that real h
+    # gives u = ±1 and u² = 1 exactly, and no entry over- or underflows
+    h = np.where(h != 0, h, np.conj(H[k, j]))
+    modulus = np.abs(h)
+    u = h.real / modulus + 1j * (h.imag / modulus)
+    steps = u * u
+    start = np.searchsorted(k, np.arange(n + 1)).tolist()
+    m = [None] * n
+    unset = n
+    for root in range(n):
+        if m[root] is not None:
+            continue
+        m[root] = 1.0 + 0j
+        unset -= 1
+        stack = [root]
+        # once every m is set, the gate checks the entries not yet walked
+        while stack and unset:
+            node = stack.pop()
+            a, b = start[node], start[node + 1]
+            for nbr, step in zip(j[a:b].tolist(), steps[a:b].tolist()):
+                if m[nbr] is None:
+                    m[nbr] = m[node] * step
+                    unset -= 1
+                    stack.append(nbr)
+    return np.diag(np.array(m, dtype=complex))
 
 
 def _spectral_intertwiner(system: BiorthogonalSystem, pair_indices) -> np.ndarray:
@@ -282,16 +348,21 @@ def _nullspace_intertwiner(H: np.ndarray) -> np.ndarray:
 
 def _verified_intertwiner(M: np.ndarray, H: np.ndarray, tol: float) -> AntilinearOp:
     """AntilinearOp(M) if M is well conditioned and intertwines H within
-    ``tol``; ConditioningError otherwise."""
-    sigma_min = float(np.linalg.svd(M / np.linalg.norm(M), compute_uv=False)[-1])
-    if sigma_min < 1e-8:
+    ``tol``; ConditioningError otherwise. A diagonal M costs no SVD."""
+    # ‖M‖_F is the 2-norm of the singular values, which a diagonal M
+    # carries as the moduli of its entries
+    d = _diagonal(M)
+    sigma = np.abs(d) if d is not None else np.linalg.svd(M, compute_uv=False)
+    sigma_min = float(sigma.min() / np.linalg.norm(sigma))
+    if not sigma_min >= 1e-8:
         raise ConditioningError(
             "no well-conditioned invertible intertwiner found "
             f"(best sigma_min = {sigma_min:.3e})"
         )
     op = AntilinearOp(M)
     check = commutes_with(op, H)
-    if check.residual > tol:
+    # a NaN residual fails too
+    if not check.residual <= tol:
         raise ConditioningError(
             f"intertwiner residual {check.residual:.3e} exceeds tol {tol:.1e}"
         )

@@ -26,7 +26,7 @@ from biortho.errors import (
     SingularOperatorError,
     SizeBudgetError,
 )
-from biortho.fock import Realization
+from biortho.fock import Realization, parity
 from biortho.models import (
     PUParams,
     cubic_hamiltonian,
@@ -136,12 +136,15 @@ def test_is_real_means_every_imaginary_part_is_zero():
     assert report.max_imag == 1e-15
 
 
-def test_find_symmetry_real_matrix_returns_identity():
+def test_find_symmetry_real_matrix_returns_identity(monkeypatch):
+    # the diagonal route with m ≡ 1, exact for entries of any sign and scale
+    monkeypatch.setattr(antilinear, "eigendecompose", _eigendecompose_forbidden)
     rng = np.random.default_rng(4)
-    H = rng.standard_normal((6, 6))
-    op = find_antilinear_symmetry(H)
-    assert np.array_equal(op.linear_part, np.eye(6))
-    assert commutes_with(op, H).residual < 1e-12
+    scaled = rng.standard_normal((6, 6)) * 10.0 ** rng.integers(-100, 100, (6, 6))
+    for H in (rng.standard_normal((6, 6)), scaled):
+        op = find_antilinear_symmetry(H)
+        assert np.array_equal(op.linear_part, np.eye(6))
+        assert commutes_with(op, H).residual < 1e-12
 
 
 def test_find_symmetry_conjugate_diagonal():
@@ -156,7 +159,7 @@ def test_find_symmetry_conjugate_diagonal():
 
 def test_find_symmetry_generic_complex_basis():
     # rotate a real matrix into a complex basis: spectrum stays
-    # conjugation-closed but the identity shortcut no longer applies
+    # conjugation-closed but no diagonal M intertwines it
     rng = np.random.default_rng(8)
     for _ in range(5):
         H0 = rng.standard_normal((6, 6))
@@ -181,6 +184,79 @@ def _gauged_cubic(n, rng):
 
 def _nullspace_forbidden(*args, **kwargs):
     raise AssertionError("nullspace fallback ran")
+
+
+def _eigendecompose_forbidden(*args, **kwargs):
+    raise AssertionError("eigendecompose ran")
+
+
+def _svd_forbidden(*args, **kwargs):
+    raise AssertionError("an SVD ran")
+
+
+@pytest.mark.parametrize("n", [64, 100, 400])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_find_symmetry_diagonal_route_gauged_cubic(monkeypatch, n, seed):
+    # from n = 64 on the eigen-routes fail on these inputs (the nullspace
+    # operator is over budget; zgeev rounding leaves unpaired eigenvalues);
+    # the diagonal M needs neither an eigendecomposition nor an SVD
+    H = _gauged_cubic(n, np.random.default_rng(seed))
+    monkeypatch.setattr(antilinear, "eigendecompose", _eigendecompose_forbidden)
+    monkeypatch.setattr(np.linalg, "svd", _svd_forbidden)
+    op = find_antilinear_symmetry(H)
+    M = op.linear_part
+    m = np.diagonal(M)
+    assert np.array_equal(M, np.diag(m))
+    assert np.max(np.abs(np.abs(m) - 1.0)) < 1e-12
+    assert m[0] == 1.0
+    assert commutes_with(op, H).residual < 1e-12
+
+
+def test_find_symmetry_position_real_cubic_is_parity(monkeypatch):
+    monkeypatch.setattr(antilinear, "eigendecompose", _eigendecompose_forbidden)
+    for n in (4, 17, 64):
+        H = cubic_hamiltonian(n, Realization.POSITION_REAL)
+        assert np.array_equal(find_antilinear_symmetry(H).linear_part, parity(n))
+
+
+def test_find_symmetry_diagonal_route_phases_per_block(monkeypatch):
+    # each block of the nonzero pattern takes m = 1 at its smallest index;
+    # the blocks' gauges are unrelated and their order is interleaved
+    monkeypatch.setattr(antilinear, "eigendecompose", _eigendecompose_forbidden)
+    rng = np.random.default_rng(16)
+    n1, n2 = 12, 20
+    B = scipy.linalg.block_diag(_gauged_cubic(n1, rng), 1.7 * _gauged_cubic(n2, rng))
+    order = rng.permutation(n1 + n2)
+    H = B[np.ix_(order, order)]
+    op = find_antilinear_symmetry(H)
+    m = np.diagonal(op.linear_part)
+    for block in (order < n1, order >= n1):
+        assert m[np.flatnonzero(block)[0]] == 1.0
+    assert np.max(np.abs(np.abs(m) - 1.0)) < 1e-12
+    assert commutes_with(op, H).residual < 1e-12
+
+
+def test_find_symmetry_without_diagonal_symmetry_takes_spectral_route(monkeypatch):
+    calls = []
+    spectral = antilinear._spectral_intertwiner
+
+    def spy(*args):
+        calls.append(1)
+        return spectral(*args)
+
+    monkeypatch.setattr(antilinear, "_spectral_intertwiner", spy)
+    monkeypatch.setattr(antilinear, "_nullspace_intertwiner", _nullspace_forbidden)
+    rng = np.random.default_rng(17)
+    inputs = [dimer_hamiltonian(0.5, 1.0), np.diag([1 + 1j, 1 - 1j])]
+    for n in (8, 16, 24):
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        inputs.append(Q @ _gauged_cubic(n, rng) @ Q.conj().T)
+    for H in inputs:
+        calls.clear()
+        op = find_antilinear_symmetry(H)
+        assert calls == [1]
+        assert commutes_with(op, H).residual < 1e-9
+        assert np.linalg.cond(op.linear_part) < 10
 
 
 def test_find_symmetry_spectral_route_gauged_cubic(monkeypatch):
@@ -250,8 +326,11 @@ def test_find_symmetry_jordan_and_degenerate_complex_inputs(monkeypatch):
 
 
 def test_find_symmetry_error_types(monkeypatch):
-    with pytest.raises(ValueError):
-        find_antilinear_symmetry(np.array([[1j, np.nan], [0.0, 1.0]]))
+    # non-finite input, real or complex, before any route runs
+    for H in ([[1j, np.nan], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]],
+              [[np.nan, 1.0], [1.0, 1.0]], [[1j, 1.0], [1.0, complex(np.inf, 1.0)]]):
+        with pytest.raises(ValueError):
+            find_antilinear_symmetry(np.array(H))
 
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("QR iteration did not converge")
@@ -259,6 +338,13 @@ def test_find_symmetry_error_types(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "eig", no_convergence)
     with pytest.raises(ConvergenceError):
         find_antilinear_symmetry(np.diag([1 + 1j, 1 - 1j]))
+
+
+def test_verified_intertwiner_rejects_nan_residual():
+    # NaN > tol is False, so only `not residual <= tol` refuses it
+    H = np.array([[np.nan, 1.0], [1.0, 1.0]], dtype=complex)
+    with pytest.raises(ConditioningError):
+        antilinear._verified_intertwiner(np.eye(2, dtype=complex), H, 1e-8)
 
 
 def test_spectral_and_nullspace_intertwiners_agree_on_equation():

@@ -523,3 +523,15 @@ def test_removed_tolerance_flag_is_argparse_error(capsys):
         main(["spectrum", "--tol-real", "1e-6"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_cli_import_loads_no_sparse_module():
+    # scipy.sparse loads only inside models.grid_eigenvalues, and the
+    # connected-component search uses no scipy.sparse.csgraph: a process
+    # that never calls the grid oracle keeps both out of memory
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    probe = ("import sys, biortho.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            text=True, env=env, check=True, timeout=120)
+    assert result.stdout.strip() == "[]"
