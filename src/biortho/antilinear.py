@@ -23,6 +23,7 @@ from .errors import (
 from .spectral import (
     BiorthogonalSystem,
     _blocks,
+    _pattern_walk,
     _relative_radius,
     classify_spectrum,
     eigendecompose,
@@ -174,12 +175,14 @@ def find_antilinear_symmetry(H, tol: float = 1e-8) -> AntilinearOp:
        eigendecomposition. A diagonal M = diag(m) intertwines H exactly
        when m_j/m_k = H_jk/conj(H_jk) on every nonzero entry, so each
        connected block of the pattern allows at most one m up to a phase;
-       ``_diagonal_intertwiner`` walks it with m = 1 at the block's smallest
-       index, and the gate decides whether that m is a symmetry. This
-       covers parity, P⊗P and every rephasing D·P·D̄ of them in the Fock
-       and position bases (Bender & Mannheim, Phys. Lett. A 374, 1616
-       (2010)). An entrywise-real H (every imaginary part exactly 0, see
-       ``is_real``) gives m ≡ 1 and plain conjugation K, M = I exactly.
+       ``spectral._pattern_walk``, the walk that also gives
+       ``eigendecompose`` its blocks and real gauge, finds it with m = 1 at
+       the block's smallest index, and the gate decides whether that m is
+       a symmetry. This covers parity, P⊗P and every rephasing D·P·D̄ of
+       them in the Fock and position bases (Bender & Mannheim, Phys. Lett.
+       A 374, 1616 (2010)). An entrywise-real H (every imaginary part
+       exactly 0, see ``is_real``) gives m ≡ 1 and plain conjugation K,
+       M = I exactly.
     2. Spectral, O(n³). The spectrum must be closed under conjugation by
        the rule of ``classify_spectrum`` at ``tol``, relative to
        max(1, max|E|) (otherwise NoAntilinearSymmetryError; the diagonal
@@ -215,7 +218,7 @@ def find_antilinear_symmetry(H, tol: float = 1e-8) -> AntilinearOp:
         raise ValueError("matrix has non-finite entries")
 
     try:
-        return _verified_intertwiner(_diagonal_intertwiner(H), H, tol)
+        return _verified_intertwiner(np.diag(_pattern_walk(H)[0]), H, tol)
     except ConditioningError:
         pass
 
@@ -241,45 +244,6 @@ def find_antilinear_symmetry(H, tol: float = 1e-8) -> AntilinearOp:
             pass
     return _verified_intertwiner(
         _nullspace_intertwiner(H), H, tol)
-
-
-def _diagonal_intertwiner(H: np.ndarray) -> np.ndarray:
-    """diag(m) with m_j = m_k·H_jk/conj(H_jk) along a depth-first spanning
-    tree of each connected block of H's nonzero pattern, m = 1 at the
-    block's smallest index: the only diagonal intertwiner, up to a phase
-    per block, that H can have. Entries the tree does not use are left to
-    the caller's residual gate. Real H gives m ≡ 1 exactly."""
-    n = H.shape[0]
-    nonzero = H != 0
-    # edge k–j wherever H_jk or H_kj is nonzero, grouped by k
-    k, j = np.divmod(np.flatnonzero(nonzero | nonzero.T), n)
-    h = H[j, k]
-    # m_j/m_k is H_jk/conj(H_jk), or conj(H_kj)/H_kj where H_jk = 0: the
-    # square of the unit phase u = h/|h|, taken part by part so that real h
-    # gives u = ±1 and u² = 1 exactly, and no entry over- or underflows
-    h = np.where(h != 0, h, np.conj(H[k, j]))
-    modulus = np.abs(h)
-    u = h.real / modulus + 1j * (h.imag / modulus)
-    steps = u * u
-    start = np.searchsorted(k, np.arange(n + 1)).tolist()
-    m = [None] * n
-    unset = n
-    for root in range(n):
-        if m[root] is not None:
-            continue
-        m[root] = 1.0 + 0j
-        unset -= 1
-        stack = [root]
-        # once every m is set, the gate checks the entries not yet walked
-        while stack and unset:
-            node = stack.pop()
-            a, b = start[node], start[node + 1]
-            for nbr, step in zip(j[a:b].tolist(), steps[a:b].tolist()):
-                if m[nbr] is None:
-                    m[nbr] = m[node] * step
-                    unset -= 1
-                    stack.append(nbr)
-    return np.diag(np.array(m, dtype=complex))
 
 
 def _spectral_intertwiner(system: BiorthogonalSystem, pair_indices) -> np.ndarray:

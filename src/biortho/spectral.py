@@ -11,15 +11,15 @@ labeling <L_j(t)|R_i(t)> picks up the phase exp(i(E_j − E_i)t), so each
 E_j != E_i.
 
 Real ``dgeev`` runs whenever H is real up to a diagonal gauge
-D = diag(d), d in {1, i}ⁿ: on entrywise-real H (D = I), and on H whose
-entries are each purely real or purely imaginary, with a real diagonal
-and an even number of imaginary entries on every cycle of its nonzero
-pattern, such as the position-real cubic oscillator (d = i on the odd
-Fock states). That is the diagonal case of the real form S⁻¹·H·S of an
-H with antilinear symmetry M∘K (S = a·I + ā·M; for M = parity and
-a = e^{iπ/4}, S = √2·D). A = D⁻¹·H·D is built exactly, its complex
-eigenvalues and eigenvectors come in exact conjugate pairs, and
-R = D·R′, L = D·L′ map its eigenvectors back exactly.
+D = diag(d), d in {1, i}ⁿ: on entrywise-real H (D = I), and on H with a
+diagonal antilinear symmetry M∘K, M = D·conj(D)⁻¹ = diag(m), m in {±1}ⁿ,
+such as the position-real cubic oscillator (d = i on the odd Fock
+states). That is the diagonal case of the real form S⁻¹·H·S of an H with
+antilinear symmetry (S = a·I + ā·M; for M = parity and a = e^{iπ/4},
+S = √2·D). D is read off M, found by ``_pattern_walk`` (the one walk over
+H's nonzero pattern, which also gives the blocks below), plus an exact
+reality check of A = D⁻¹·H·D. A's complex eigenvalues and eigenvectors
+come in exact conjugate pairs, and R = D·R′, L = D·L′ map them back.
 
 A is factorized one diagonal block at a time: the blocks are the connected
 components of the graph with an edge wherever an entry of H is exactly
@@ -172,7 +172,8 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
     kappa = []
     for L, R in zip(lvecs, rvecs):
         overlaps = np.einsum("ki,ki->i", L.conj(), R)
-        with np.errstate(divide="ignore"):
+        # κ is infinite where the overlap vanishes or underflows
+        with np.errstate(divide="ignore", over="ignore"):
             k = np.linalg.norm(L, axis=0) * np.linalg.norm(R, axis=0) / np.abs(overlaps)
         kept = ~(k > 1.0 / OVERLAP_FLOOR)
         L[:, kept] /= np.conj(overlaps[kept])
@@ -218,43 +219,33 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
 
 def _real_form(H) -> tuple:
     """(A, odd, blocks): A = D⁻¹·H·D for D = diag(i^odd), and the diagonal
-    blocks of A (``_blocks``). A is real whenever some d in {1, i}ⁿ makes
+    blocks of H (``_blocks``). A is real whenever some d in {1, i}ⁿ makes
     it so (odd is None for entrywise-real H, where D = I); otherwise A = H
     and odd is None.
 
-    H_jk·d_k/d_j is real for every entry exactly when each entry is purely
-    real or purely imaginary, the diagonal is real, and d_j and d_k agree
-    across every real entry and differ across every imaginary one, i.e.
-    every cycle crosses an even number of imaginary entries. Node j of a
-    doubled graph stands for d_j = 1 and node n + j for d_j = i; a real
-    entry joins j–k and n+j–n+k, an imaginary one j–n+k and n+j–k. D exists
-    when no j shares a component with n + j; the component holding a
-    block's smallest index m (with d_m = 1) then has the smaller label.
-    Exact: no tolerance decides it, and A only copies or negates parts of
-    H's entries."""
+    Such a D gives H the diagonal antilinear symmetry M = D·conj(D)⁻¹ =
+    diag(m), m = d² = ±1, the only one up to a phase per block: the m of
+    ``_pattern_walk``, with m = 1 (d = 1) at each block's smallest index.
+    So D exists exactly when every m is ±1 and A has every imaginary part
+    exactly 0. Exact: no tolerance decides it, and A only moves and
+    negates parts of H's entries."""
+    m, block = _pattern_walk(H)
+    blocks = _split(block)
     if not np.any(H.imag):
-        A = H.real
-        return A, None, _blocks(A)
-    re, im = H.real != 0, H.imag != 0
-    if (re & im).any() or np.diagonal(im).any():
-        return H, None, _blocks(H)
-    n = H.shape[0]
-    rows, cols = np.divmod(np.flatnonzero(re), n)
-    imag = np.flatnonzero(im)
-    i_rows, i_cols = np.divmod(imag, n)
-    root = _components(np.concatenate((rows, rows + n, i_rows, i_rows + n)),
-                       np.concatenate((cols, cols + n, i_cols + n, i_cols)),
-                       2 * n)
-    at_one, at_i = root[:n], root[n:]
-    # either way, a block's smallest index labels one of its two copies
-    blocks = _split(np.minimum(at_one, at_i))
-    if (at_one == at_i).any():
+        return H.real, None, blocks
+    odd = m == -1
+    # with d = 1 throughout, A = H has an imaginary entry
+    if not odd.any() or not (odd | (m == 1)).all():
         return H, None, blocks
-    odd = at_one > at_i
-    # at an imaginary entry H_jk = i·h, D⁻¹·H·D reads h where d_j = i and
-    # −h where d_k = i
+    # D⁻¹·H·D multiplies each nonzero entry by −i per odd row and i per odd
+    # column, exactly
+    nonzero = np.flatnonzero(H != 0)
+    rows, cols = np.divmod(nonzero, H.shape[0])
+    a = H.flat[nonzero] * np.where(odd[rows], -1j, 1.0) * np.where(odd[cols], 1j, 1.0)
+    if a.imag.any():
+        return H, None, blocks
     A = np.array(H.real)
-    A.flat[imag] = np.where(odd[i_rows], 1.0, -1.0) * H.imag.flat[imag]
+    A.flat[nonzero] = a.real
     return A, odd, blocks
 
 
@@ -269,41 +260,55 @@ def _gauge(X, odd) -> np.ndarray:
 
 def _blocks(A) -> list:
     """Index sets of the diagonal blocks of A, in order of their smallest
-    index: the connected components of the graph with an edge i–j wherever
-    A[i, j] is exactly nonzero."""
-    n = A.shape[0]
-    # divmod of the flat indices is several times faster than np.nonzero's
-    # row and column pass on a 400×400 matrix
-    return _split(_components(*np.divmod(np.flatnonzero(A != 0), n), n))
+    index (the labels of ``_pattern_walk``)."""
+    return _split(_pattern_walk(A)[1])
 
 
-def _components(rows, cols, n: int) -> np.ndarray:
-    """Label of each of n nodes: the smallest node of its connected
-    component in the graph with edges rows[k]–cols[k]. Each round hooks
-    every root onto the smallest root an edge joins it to, then jumps every
-    label to its root; an edge whose ends share a root is dropped for
-    good."""
-    root = np.arange(n)
-    a, b = rows, cols
-    while True:
-        cross = a != b
-        if not cross.any():
-            break
-        rows, cols, a, b = rows[cross], cols[cross], a[cross], b[cross]
-        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
-        while True:
-            jumped = root[root]
-            if (jumped == root).all():
-                break
-            root = jumped
-        a, b = root[rows], root[cols]
-    return root
+def _pattern_walk(H) -> tuple:
+    """(m, block) from one depth-first walk over each connected block of
+    H's nonzero pattern: block[j] is the smallest index of j's block, and
+    m_j = m_k·H_jk/conj(H_jk) along the walk's tree, m = 1 at that index.
+    diag(m) is the only diagonal intertwiner, up to a phase per block, that
+    H can have; entries the tree does not use are left to the caller. Real
+    H gives m ≡ 1 exactly."""
+    n = H.shape[0]
+    nonzero = H != 0
+    # edge k–j wherever H_jk or H_kj is nonzero, grouped by k
+    k, j = np.divmod(np.flatnonzero(nonzero | nonzero.T), n)
+    h = H[j, k]
+    # m_j/m_k is H_jk/conj(H_jk), or conj(H_kj)/H_kj where H_jk = 0: the
+    # square of the unit phase u = h/|h|, taken part by part so that real h
+    # gives u = ±1 and u² = 1 exactly, and no entry over- or underflows
+    h = np.where(h != 0, h, np.conj(H[k, j]))
+    modulus = np.abs(h)
+    u = h.real / modulus + 1j * (h.imag / modulus)
+    steps = u * u
+    start = np.searchsorted(k, np.arange(n + 1)).tolist()
+    m = [None] * n
+    block = [0] * n
+    unset = n
+    for root in range(n):
+        if m[root] is not None:
+            continue
+        m[root] = 1.0 + 0j
+        block[root] = root
+        unset -= 1
+        stack = [root]
+        # once every m is set, the caller checks the entries not yet walked
+        while stack and unset:
+            node = stack.pop()
+            a, b = start[node], start[node + 1]
+            for nbr, step in zip(j[a:b].tolist(), steps[a:b].tolist()):
+                if m[nbr] is None:
+                    m[nbr] = m[node] * step
+                    block[nbr] = root
+                    unset -= 1
+                    stack.append(nbr)
+    return np.array(m, dtype=complex), np.array(block)
 
 
 def _split(root) -> list:
     """Index sets sharing a label, ascending, in order of their label."""
-    if not root.any():
-        return [np.arange(len(root))]
     order = np.argsort(root, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(root[order])) + 1)
 
@@ -325,21 +330,22 @@ def _factorize(A, exact_norm: bool) -> tuple:
 
 
 def _norm_lower_bound(A) -> float:
-    """||A·x||, less its rounding, for the unit x that NORM_STEPS steps of
-    power iteration on A^H·A reach from the all-ones vector: a lower bound
+    """||A·x|| for the unit x that NORM_STEPS steps of power iteration on
+    A^H·A reach from the all-ones vector, or A's largest column norm if
+    larger (zero row sums give A·x = 0), less their rounding: a lower bound
     on ||A||₂ in O(n²) per step, where the exact norm is a full SVD.
-    Deterministic, and 0.98 of ||A||₂ or more on the Pais-Uhlenbeck sectors
-    and the cubic oscillator."""
+    Deterministic, and 0.98 of ||A||₂ or more on the model matrices."""
     n = A.shape[1]
     x = np.full(n, n ** -0.5)
     for _ in range(NORM_STEPS):
         x = np.conj(np.conj(A @ x) @ A)
         size = np.linalg.norm(x)
         if not size:
-            return 0.0
+            break
         x /= size
     # the products and norms round by a few n·u each
-    return float(np.linalg.norm(A @ x)) * (1.0 - 4 * (n + 1) * np.finfo(float).eps)
+    bound = max(np.linalg.norm(A @ x), np.linalg.norm(A, axis=0).max())
+    return float(bound) * (1.0 - 4 * (n + 1) * np.finfo(float).eps)
 
 
 def _assemble(blocks, order, vectors) -> np.ndarray:

@@ -8,12 +8,15 @@ the full space before multiplying, independently of the library's
 per-mode products. The spectrum classifier reference pairs eigenvalues by
 repeated global ``argmin`` over the distance matrix. ``full_geev`` runs one
 LAPACK ``geev`` on the whole matrix, the reference for the per-block
-factorization in ``eigendecompose``; ``complex_boost_spinor_series`` takes
-the spinor boost by ``scipy.linalg.expm``.
+factorization in ``eigendecompose``; ``doubled_graph_gauge`` labels a
+doubled graph with scipy's ``connected_components``, the reference for the
+real gauge and the blocks of ``_real_form``; ``complex_boost_spinor_series``
+takes the spinor boost by ``scipy.linalg.expm``.
 """
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse.csgraph import connected_components
 
 from biortho.fock import Realization, ladder, position_momentum
 from biortho.models import pu_mode_scales
@@ -157,6 +160,34 @@ def full_geev(H):
     overlaps = np.abs(np.einsum("ki,ki->i", lvecs.conj(), rvecs))
     kappa = np.linalg.norm(lvecs, axis=0) * np.linalg.norm(rvecs, axis=0) / overlaps
     return evals, kappa
+
+
+def doubled_graph_gauge(H):
+    """(odd, blocks): the phases d = i^odd in {1, i}ⁿ, d = 1 at each
+    block's smallest index, that make every H_jk·d_k/d_j real (odd is None
+    for entrywise-real H and for H with no such d), and the index sets of
+    the connected components of H's nonzero pattern, ascending, in order
+    of their smallest index.
+
+    Every entry must be purely real or purely imaginary with a real
+    diagonal. Node j of a doubled graph stands for d_j = 1 and node n + j
+    for d_j = i; a real entry joins j–k and n+j–n+k, an imaginary one
+    j–n+k and n+j–k. d exists when no j shares a component with n + j, and
+    d_j = i where n + j shares one with the block's smallest index."""
+    H = np.asarray(H, dtype=complex)
+    n = len(H)
+    _, label = connected_components(H != 0, directed=False)
+    first = np.unique(label, return_index=True)[1]
+    blocks = [np.flatnonzero(label == label[j]) for j in np.sort(first)]
+    re, im = H.real != 0, H.imag != 0
+    if not im.any() or (re & im).any() or np.diagonal(im).any():
+        return None, blocks
+    _, doubled = connected_components(np.block([[re, im], [im, re]]), directed=False)
+    at_one, at_i = doubled[:n], doubled[n:]
+    if (at_one == at_i).any():
+        return None, blocks
+    # first[label[j]] is the smallest index of j's block
+    return at_i == at_one[first[label]], blocks
 
 
 def complex_boost_spinor_series(basis, i, xi):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.sparse.csgraph import connected_components
@@ -24,7 +24,13 @@ from biortho.spectral import (
     eigendecompose,
 )
 
-from oracles import charpoly_eigenvalues, full_geev, greedy_classify, match_distance
+from oracles import (
+    charpoly_eigenvalues,
+    doubled_graph_gauge,
+    full_geev,
+    greedy_classify,
+    match_distance,
+)
 
 DIMER_UNBROKEN = np.sqrt(0.75)  # ±sqrt(k² − g²) at k=1, g=0.5
 
@@ -504,6 +510,43 @@ def test_even_imaginary_cycle_has_real_gauge():
     assert match_distance(eigendecompose(H).eigenvalues, np.linalg.eigvals(H)) < 1e-12
 
 
+@st.composite
+def phase_patterns(draw):
+    """A ``sparsity_patterns``-like H, with imaginary, mixed and subnormal
+    imaginary entries in half the draws, in a random gauge d in {1, i}ⁿ:
+    odd and even imaginary cycles, imaginary diagonals, mixed entries and
+    gauge-real matrices."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    index = st.integers(min_value=0, max_value=n - 1)
+    values = [1.0, -2.5, 1e-300, 5e-324]
+    if draw(st.booleans()):
+        # 1e10 + 5e-324j has the phase of 1 to the last bit
+        values += [1j, -2j, 1e-300j, 5e-324j, 1.0 + 1.0j, 1.0 + 5e-324j, 1e10 + 5e-324j]
+    entries = draw(st.lists(st.tuples(index, index, st.sampled_from(values)),
+                            max_size=2 * n))
+    H = np.zeros((n, n), dtype=complex)
+    for i, j, value in entries:
+        H[i, j] = value
+    d = np.where(draw(arrays(bool, n)), 1j, 1.0)
+    return H * (d[:, None] / d[None, :])
+
+
+@given(phase_patterns())
+@settings(max_examples=300, deadline=None)
+def test_real_form_matches_the_doubled_graph_gauge(H):
+    A, odd, blocks = _real_form(H)
+    ref_odd, ref_blocks = doubled_graph_gauge(H)
+    assert [idx.tolist() for idx in blocks] == [idx.tolist() for idx in ref_blocks]
+    if ref_odd is None:
+        assert odd is None
+        assert A is H if H.imag.any() else np.array_equal(A, H.real)
+    else:
+        assert np.array_equal(odd, ref_odd)
+        d = np.where(odd, 1j, 1.0)
+        assert not np.iscomplexobj(A)
+        assert np.array_equal(d[:, None] * A / d[None, :], H)
+
+
 def test_convergence_error_partial_holds_vectors_of_h():
     # two gauge-real blocks on shuffled indices; tol 0 fails the gate
     rng = np.random.default_rng(5)
@@ -523,6 +566,9 @@ def test_convergence_error_partial_holds_vectors_of_h():
 @given(st.integers(min_value=1, max_value=12).flatmap(lambda n: arrays(
     complex, (n, n), elements=st.sampled_from([0, 1, -1, 1e-3, 1j])
     | st.complex_numbers(max_magnitude=1e3, allow_subnormal=False))), st.booleans())
+# zero row sums and n = 4: the all-ones start vector is exact and A·x = 0
+@example(np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 2.0, 0.0, -2.0],
+                   [0.0, 0.0, 0.0, 0.0], [-3.0, 0.0, 0.0, 3.0]]), True)
 @settings(max_examples=200, deadline=None)
 def test_norm_lower_bound_is_at_most_the_norm(A, real):
     A = A.real if real else A
@@ -544,3 +590,38 @@ def test_norm_lower_bound_is_tight_on_the_model_blocks(build):
     for idx in blocks:
         block = A[np.ix_(idx, idx)]
         assert _norm_lower_bound(block) >= 0.95 * np.linalg.norm(block, 2)
+
+
+def _markov_generator(n, rng):
+    """Unit rates on a random 5% of the off-diagonal, rows summing to 0."""
+    G = (rng.random((n, n)) < 0.05).astype(float)
+    np.fill_diagonal(G, 0.0)
+    return G - np.diag(G.sum(axis=1))
+
+
+def _graph_laplacian(n, rng):
+    adjacency = np.triu(rng.random((n, n)) < 0.05, 1).astype(float)
+    adjacency += adjacency.T
+    return np.diag(adjacency.sum(axis=1)) - adjacency
+
+
+@pytest.mark.parametrize("build", [_markov_generator, _graph_laplacian],
+                         ids=["markov-generator", "graph-laplacian"])
+def test_zero_row_sum_matrix_keeps_the_gate_scale(build):
+    # at n = 256 = 4⁴ power iteration starts exactly on the all-ones
+    # vector, which H maps to 0; the column norms keep the gate's scale
+    # near ||H||₂, not at the absolute floor 1
+    H = build(256, np.random.default_rng(0)) * 2.0 ** 20
+    norm = np.linalg.norm(H, 2)
+    assert 0.5 * norm <= _norm_lower_bound(H) <= norm
+    system = eigendecompose(H)
+    assert max(system.right_residual, system.left_residual) < 1e-9 * norm
+
+
+def test_nilpotent_matrix_with_a_tiny_entry_has_infinite_condition_numbers():
+    # the overlaps underflow to 0: κ is infinite, and computing it raises
+    # no overflow warning
+    H = np.array([[0.0, 1.7e-268, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    system = eigendecompose(H)
+    assert np.all(np.isinf(system.condition_numbers))
+    assert not system.is_diagonalizable
