@@ -104,7 +104,8 @@ def commutes_with(op: AntilinearOp, H) -> SymmetryCheck:
         )
     cond = sigma_max / sigma_min
     if d is not None:
-        nonzero = np.flatnonzero(H)
+        # the boolean pattern scans far faster than complex H itself
+        nonzero = np.flatnonzero(H != 0)
         rows, cols = np.divmod(nonzero, n)
         H = H.reshape(-1)[nonzero]
         Hc = np.conj(H) if op.conjugates else H

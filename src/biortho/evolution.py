@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DefectiveSystemError, PropagatorRangeError
 from .spectral import BiorthogonalSystem, _relative_radius
@@ -51,6 +50,8 @@ def propagator(H, t: float) -> np.ndarray:
     ValueError (numpy's LinAlgError) for a non-square or non-finite H."""
     H = np.asarray(H, dtype=complex)
     _check_range(float(np.max(np.abs(np.linalg.eigvals(H).imag))), t, "propagator")
+    import scipy.linalg
+
     return scipy.linalg.expm(-1j * t * H)
 
 
@@ -132,6 +133,8 @@ def overlap_trace(system: BiorthogonalSystem, t_max: float = 10.0,
     checked = times[1:int(np.count_nonzero(np.abs(times) <= literal_bound))]
     agreement = 0.0
     if len(checked):
+        import scipy.linalg
+
         H, R, L = system.matrix, system.right_vectors, system.left_vectors
         U, V = (scipy.linalg.expm(-1j * times[1] * A) for A in (H, H.conj().T))
         R_t, L_t = R, L
@@ -211,6 +214,8 @@ def euclidean_reality(H, tau: float) -> EuclideanReality:
     evals = np.linalg.eigvals(H)
     decay = float(np.max(-evals.real)) if evals.size else 0.0
     _check_range(decay, tau, "exp(−H·tau)")
+    import scipy.linalg
+
     K = scipy.linalg.expm(-tau * H)
     max_imag = float(np.max(np.abs(K.imag)))
     return EuclideanReality(

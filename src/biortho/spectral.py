@@ -2,13 +2,27 @@
 
 Right eigenvectors solve H|R_i> = E_i|R_i>; the left vector of the same
 index solves H†|L_i> = conj(E_i)|L_i>, i.e. <L_i|H = E_i<L_i|. Both sides
-come from one LAPACK ``geev`` factorization (scipy.linalg.eig with
-left=True), which back-transforms left and right eigenvectors from the same
-Schur form, so left column i belongs to right column i: the pairing is the
-identity and the H† label of |L_i> is conj(E_i) by construction. Under this
-labeling <L_j(t)|R_i(t)> picks up the phase exp(i(E_j − E_i)t), so each
-<L_i|R_i> is a time-independent scalar product and <L_j|R_i> = 0 whenever
-E_j != E_i.
+come from one LAPACK ``geev`` factorization, so left column i belongs to
+right column i: the pairing is the identity and the H† label of |L_i> is
+conj(E_i) by construction. Under this labeling <L_j(t)|R_i(t)> picks up
+the phase exp(i(E_j − E_i)t), so each <L_i|R_i> is a time-independent
+scalar product and <L_j|R_i> = 0 whenever E_j != E_i.
+
+Where H has a transposition signature, Hᵀ = J·H·J exactly for a diagonal
+J of ±1, the ``geev`` is right-only (``np.linalg.eig``) and
+<L_i| = (J·R_i)ᵀ. For real H, J is a metric of its pseudo-Hermiticity,
+H† = J·H·J⁻¹ (Mostafazadeh, J. Math. Phys. 43, 205 (2002)). The models
+that CPT makes "real rather than Hermitian" (arXiv 1512.03736) have one:
+J = I for the dimer and the harmonic oscillator, J = P⊗1 (parity of the
+slow mode) for Pais-Uhlenbeck. The cubic oscillator does not: x·x·x rounds
+to a matrix symmetric only to an ulp. ``_pattern_walk`` finds J on the walk
+below. Every other H takes both sides from ``scipy.linalg.eig`` with
+left=True, which back-transforms them from the same Schur form; that is
+the only place scipy.linalg is imported here, so a process that factorizes
+only H with a signature never loads it. The Schur form both sides share
+cancels R's rounding out of the overlaps <L_j|R_i> of distinct levels; J·R
+carries it in, up to 5e-8 between PU's close levels of large κ, so
+``_separate_levels`` clears every such overlap above OVERLAP_FLOOR.
 
 Real ``dgeev`` runs whenever H is real up to a diagonal gauge
 D = diag(d), d in {1, i}ⁿ: on entrywise-real H (D = I), and on H with a
@@ -19,7 +33,8 @@ antilinear symmetry (S = a·I + ā·M; for M = parity and a = e^{iπ/4},
 S = √2·D). D is read off M, found by ``_pattern_walk`` (the one walk over
 H's nonzero pattern, which also gives the blocks below), plus an exact
 reality check of A = D⁻¹·H·D. A's complex eigenvalues and eigenvectors
-come in exact conjugate pairs, and R = D·R′, L = D·L′ map them back.
+come in exact conjugate pairs, and R = D·R′, L = D·L′ map them back. A's
+signature is M·J.
 
 A is factorized one diagonal block at a time: the blocks are the connected
 components of the graph with an edge wherever an entry of H is exactly
@@ -48,7 +63,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceError
 
@@ -86,7 +100,7 @@ class BiorthogonalSystem:
     eigenvalues: np.ndarray          # E_i, sorted by (Re, Im)
     right_vectors: np.ndarray        # columns |R_i>, unit norm
     left_vectors: np.ndarray         # columns |L_i>, scaled so <L_i|R_i> = 1
-    condition_numbers: np.ndarray    # κ_i of the unit geev vectors (>= 1)
+    condition_numbers: np.ndarray    # κ_i = ||L_i||·||R_i||/|<L_i|R_i>| (>= 1)
     right_residual: float            # max_i ||H R_i - E_i R_i||
     left_residual: float             # max_i ||H† L_i - conj(E_i) L_i||
     defective_indices: list = field(default_factory=list)
@@ -122,18 +136,21 @@ class BiorthogonalSystem:
 def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
     """Full biorthogonal decomposition of a square complex matrix, one
     ``geev`` per diagonal block of its nonzero pattern (``_blocks``), real
-    ``dgeev`` whenever H is real up to a diagonal gauge (``_real_form``).
+    ``dgeev`` whenever H is real up to a diagonal gauge (``_real_form``),
+    right-only wherever H has a transposition signature (``_factorize``).
 
     Raises ConvergenceError if the QR iteration fails or the residuals of
     any block exceed tol·||H||₂ (the largest block norm; above
     DEFECT_SCAN_MAX_DIM a lower bound on it, ``_norm_lower_bound``).
-    Defects are flagged, not fatal: an index is defective when
-    κ_i > 1/OVERLAP_FLOOR, and, for n <= DEFECT_SCAN_MAX_DIM, every member
-    of a cluster (eigenvalues within DEFECT_CLUSTER_TOL·max(1, max|E|))
-    whose geometric multiplicity n − rank(H − Ē·I) (rank rule of
-    ``_cluster_defect``) is below its size, with its DefectReport in
-    ``defects``. Every other cluster free of flagged
-    indices is re-biorthogonalized.
+    Defects are flagged, not fatal: an index is defective when the κ_i of
+    its unit geev vectors exceeds 1/OVERLAP_FLOOR, and, for
+    n <= DEFECT_SCAN_MAX_DIM, every member of a cluster (eigenvalues within
+    DEFECT_CLUSTER_TOL·max(1, max|E|)) whose geometric multiplicity
+    n − rank(H − Ē·I) (rank rule of ``_cluster_defect``) is below its
+    size, with its DefectReport in ``defects``. Every other cluster free of
+    flagged indices is re-biorthogonalized, and on the right-only route so
+    are the overlaps of distinct levels (``_separate_levels``).
+    ``condition_numbers`` are those of the vectors returned.
     """
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -145,11 +162,12 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
 
     # A = D⁻¹·H·D; each block of its nonzero pattern is factorized on its
     # own, and one block is A itself, not a copy
-    A, odd, blocks = _real_form(H)
+    A, odd, blocks, sign = _real_form(H)
     n = H.shape[0]
     try:
         parts = [_factorize(A if len(blocks) == 1 else A[np.ix_(idx, idx)],
-                            n <= DEFECT_SCAN_MAX_DIM)
+                            n <= DEFECT_SCAN_MAX_DIM,
+                            None if sign is None else sign[idx])
                  for idx in blocks]
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
@@ -160,7 +178,8 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
     # ||A||₂ of a block-diagonal A is its largest block norm
     scale = max(*norms, 1.0)
     right_res, left_res = max(right), max(left)
-    if max(right_res, left_res) > tol * scale:
+    # overflow leaves inf or NaN on either side, and that fails the gate
+    if not max(right_res, left_res) <= tol * scale < np.inf:
         raise ConvergenceError(
             f"eigenvector residual {max(right_res, left_res):.3e} exceeds "
             f"{tol:.1e}·||H||",
@@ -168,7 +187,8 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
                      np.conj(evals), _gauge(_assemble(blocks, order, lvecs), odd)),
         )
 
-    # κ and the left scaling need only each block's own rows
+    # the geev vectors' κ (which flags a defect) and the left scaling need
+    # only each block's own rows
     kappa = []
     for L, R in zip(lvecs, rvecs):
         overlaps = np.einsum("ki,ki->i", L.conj(), R)
@@ -203,6 +223,15 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
                 lvecs[:, block] = lvecs[:, block] @ np.linalg.inv(O).conj().T
             else:
                 defective.update(block.tolist())
+    if sign is not None:
+        _separate_levels(lvecs, rvecs, blocks, order, defective)
+    # κ of the vectors returned: in a re-biorthogonalized cluster, that of
+    # the dual basis, which R alone fixes, whichever route gave L. vecdot
+    # conjugates its first argument without an n×n copy
+    with np.errstate(divide="ignore", over="ignore"):
+        kappa = np.sqrt(np.vecdot(lvecs, lvecs, axis=0).real
+                        * np.vecdot(rvecs, rvecs, axis=0).real) / np.abs(
+            np.vecdot(lvecs, rvecs, axis=0))
 
     return BiorthogonalSystem(
         matrix=H,
@@ -217,36 +246,79 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
     )
 
 
+def _separate_levels(lvecs, rvecs, blocks, order, defective) -> None:
+    """Clear the overlaps <L_j|R_i> of distinct levels that L = conj(J·R)
+    leaves above OVERLAP_FLOOR, in place, on the columns outside
+    ``defective``.
+
+    Such L carry R's own rounding into them: (E_i − E_j)·<L_j|R_i> =
+    <s_j|R_i> − <L_j|r_i> for the residuals s, r, large for close levels
+    of large κ, where a two-sided ``geev`` cancels it through the Schur
+    form both sides share. With O = L^H·R (1 on the diagonal, the clusters
+    already re-biorthogonalized) and C its diagonal and its entries above
+    the floor, L·C⁻ᴴ has C⁻¹·O for its overlaps: within the floor of the
+    identity to first order. Only columns with such an entry take part,
+    and only while C is diagonally dominant, which keeps it safely
+    invertible (Gershgorin)."""
+    kept = np.ones(len(order), dtype=bool)
+    kept[sorted(defective)] = False
+    owner = np.repeat(np.arange(len(blocks)), [len(idx) for idx in blocks])[order]
+    for b, idx in enumerate(blocks):
+        cols = np.flatnonzero(kept & (owner == b))
+        if len(cols) > 1:
+            _separate_block(lvecs, rvecs, idx, cols)
+
+
+def _separate_block(lvecs, rvecs, rows, cols) -> None:
+    """``_separate_levels`` on one block's ``rows`` and ``cols``; its
+    copies are freed before the next block's."""
+    # the rows of L^H, conjugated in the copy that indexing makes
+    Lh = lvecs[np.ix_(rows, cols)].T
+    O = np.conj(Lh, out=Lh) @ rvecs[np.ix_(rows, cols)]
+    linked = np.abs(O) > OVERLAP_FLOOR
+    np.fill_diagonal(linked, False)
+    part = linked.any(axis=0) | linked.any(axis=1)
+    if not part.any():
+        return
+    C = np.where(linked[np.ix_(part, part)], O[np.ix_(part, part)], 0.0)
+    # off its diagonal (still 0 here) each row of C sums below the 1 on it
+    if np.abs(C).sum(axis=1).max() < 1.0:
+        np.fill_diagonal(C, np.diagonal(O)[part])
+        lvecs[np.ix_(rows, cols[part])] = np.linalg.solve(C, Lh[part]).conj().T
+
+
 def _real_form(H) -> tuple:
-    """(A, odd, blocks): A = D⁻¹·H·D for D = diag(i^odd), and the diagonal
-    blocks of H (``_blocks``). A is real whenever some d in {1, i}ⁿ makes
-    it so (odd is None for entrywise-real H, where D = I); otherwise A = H
-    and odd is None.
+    """(A, odd, blocks, sign): A = D⁻¹·H·D for D = diag(i^odd), the
+    diagonal blocks of H (``_blocks``), and A's transposition signature,
+    Aᵀ = J·A·J for J = diag(sign), or None if A has none. A is real
+    whenever some d in {1, i}ⁿ makes it so (odd is None for entrywise-real
+    H, where D = I); otherwise A = H and odd is None.
 
     Such a D gives H the diagonal antilinear symmetry M = D·conj(D)⁻¹ =
     diag(m), m = d² = ±1, the only one up to a phase per block: the m of
     ``_pattern_walk``, with m = 1 (d = 1) at each block's smallest index.
     So D exists exactly when every m is ±1 and A has every imaginary part
     exactly 0. Exact: no tolerance decides it, and A only moves and
-    negates parts of H's entries."""
-    m, block = _pattern_walk(H)
+    negates parts of H's entries. For the same reason A_kj/A_jk is
+    H_kj/H_jk times m_j·m_k, so A's signature is M·J for H's J."""
+    m, sign, block = _pattern_walk(H)
     blocks = _split(block)
     if not np.any(H.imag):
-        return H.real, None, blocks
+        return H.real, None, blocks, sign
     odd = m == -1
     # with d = 1 throughout, A = H has an imaginary entry
     if not odd.any() or not (odd | (m == 1)).all():
-        return H, None, blocks
+        return H, None, blocks, sign
     # D⁻¹·H·D multiplies each nonzero entry by −i per odd row and i per odd
     # column, exactly
     nonzero = np.flatnonzero(H != 0)
     rows, cols = np.divmod(nonzero, H.shape[0])
     a = H.flat[nonzero] * np.where(odd[rows], -1j, 1.0) * np.where(odd[cols], 1j, 1.0)
     if a.imag.any():
-        return H, None, blocks
+        return H, None, blocks, sign
     A = np.array(H.real)
     A.flat[nonzero] = a.real
-    return A, odd, blocks
+    return A, odd, blocks, None if sign is None else np.where(odd, -sign, sign)
 
 
 def _gauge(X, odd) -> np.ndarray:
@@ -261,30 +333,40 @@ def _gauge(X, odd) -> np.ndarray:
 def _blocks(A) -> list:
     """Index sets of the diagonal blocks of A, in order of their smallest
     index (the labels of ``_pattern_walk``)."""
-    return _split(_pattern_walk(A)[1])
+    return _split(_pattern_walk(np.asarray(A != 0, dtype=float))[2])
 
 
 def _pattern_walk(H) -> tuple:
-    """(m, block) from one depth-first walk over each connected block of
-    H's nonzero pattern: block[j] is the smallest index of j's block, and
-    m_j = m_k·H_jk/conj(H_jk) along the walk's tree, m = 1 at that index.
-    diag(m) is the only diagonal intertwiner, up to a phase per block, that
-    H can have; entries the tree does not use are left to the caller. Real
-    H gives m ≡ 1 exactly."""
+    """(m, sign, block) from one depth-first walk over each connected block
+    of H's nonzero pattern: block[j] is the smallest index of j's block,
+    and m_j = m_k·H_jk/conj(H_jk) along the walk's tree, m = 1 at that
+    index. diag(m) is the only diagonal intertwiner, up to a phase per
+    block, that H can have; entries the tree does not use are left to the
+    caller. Real H gives m ≡ 1 exactly.
+
+    sign is H's transposition signature: Hᵀ = J·H·J for J = diag(sign),
+    sign in {±1}ⁿ, or None if no such J exists. The tree sets
+    sign_j = ±sign_k where H_kj = ±H_jk, sign = 1 at the block's smallest
+    index, and every edge is then checked, exactly: no tolerance decides
+    it."""
     n = H.shape[0]
     nonzero = H != 0
     # edge k–j wherever H_jk or H_kj is nonzero, grouped by k
     k, j = np.divmod(np.flatnonzero(nonzero | nonzero.T), n)
-    h = H[j, k]
+    forward, back = H[j, k], H[k, j]
+    # sign_j/sign_k is ±1 where H_kj = ±H_jk, and 0 (no signature) where
+    # neither holds, one of the two entries being zero included
+    flips = np.where(back == forward, 1.0, np.where(back == -forward, -1.0, 0.0))
     # m_j/m_k is H_jk/conj(H_jk), or conj(H_kj)/H_kj where H_jk = 0: the
     # square of the unit phase u = h/|h|, taken part by part so that real h
     # gives u = ±1 and u² = 1 exactly, and no entry over- or underflows
-    h = np.where(h != 0, h, np.conj(H[k, j]))
+    h = np.where(forward != 0, forward, np.conj(back))
     modulus = np.abs(h)
     u = h.real / modulus + 1j * (h.imag / modulus)
     steps = u * u
     start = np.searchsorted(k, np.arange(n + 1)).tolist()
     m = [None] * n
+    sign = [1.0] * n
     block = [0] * n
     unset = n
     for root in range(n):
@@ -298,13 +380,19 @@ def _pattern_walk(H) -> tuple:
         while stack and unset:
             node = stack.pop()
             a, b = start[node], start[node + 1]
-            for nbr, step in zip(j[a:b].tolist(), steps[a:b].tolist()):
+            for nbr, step, flip in zip(j[a:b].tolist(), steps[a:b].tolist(),
+                                       flips[a:b].tolist()):
                 if m[nbr] is None:
                     m[nbr] = m[node] * step
+                    sign[nbr] = sign[node] * flip
                     block[nbr] = root
                     unset -= 1
                     stack.append(nbr)
-    return np.array(m, dtype=complex), np.array(block)
+    sign = np.array(sign)
+    # a flip of 0 anywhere rules J out; otherwise each edge must agree
+    if not (flips.all() and np.array_equal(flips, sign[j] * sign[k])):
+        sign = None
+    return np.array(m, dtype=complex), sign, np.array(block)
 
 
 def _split(root) -> list:
@@ -313,19 +401,34 @@ def _split(root) -> list:
     return np.split(order, np.flatnonzero(np.diff(root[order])) + 1)
 
 
-def _factorize(A, exact_norm: bool) -> tuple:
+def _factorize(A, exact_norm: bool, sign) -> tuple:
     """One ``geev`` of A: (E, L, R) sorted by (Re, Im), ||A||₂ (or, unless
     ``exact_norm``, its lower bound ``_norm_lower_bound``), and the largest
-    right and left residual norms."""
-    evals, lvecs, rvecs = scipy.linalg.eig(A, left=True, right=True,
-                                           check_finite=False)
+    right and left residual norms, inf or NaN where they overflow.
+
+    With A's transposition signature Aᵀ = J·A·J, J = diag(sign), the
+    ``geev`` is right-only (``np.linalg.eig``): <L_i| = (J·R_i)ᵀ solves
+    <L_i|A = E_i<L_i|, since Aᵀ·J·R_i = J·A·R_i = E_i·J·R_i. With sign
+    None, ``scipy.linalg.eig`` back-transforms both sides."""
+    if sign is None:
+        import scipy.linalg
+
+        evals, lvecs, rvecs = scipy.linalg.eig(A, left=True, right=True,
+                                               check_finite=False)
+    else:
+        evals, rvecs = np.linalg.eig(A)
+        # an all-real spectrum of a real A comes back as a real array
+        evals = evals.astype(complex, copy=False)
+        lvecs = np.conj(sign[:, None] * rvecs)
     order = _sort_key(evals)
     evals, lvecs, rvecs = evals[order], lvecs[:, order], rvecs[:, order]
-    right_res = float(np.max(np.linalg.norm(
-        _matmul(A, rvecs) - rvecs * evals, axis=0)))
-    left_res = float(np.max(np.linalg.norm(
-        _matmul(A.conj().T, lvecs) - lvecs * np.conj(evals), axis=0)))
-    norm = np.linalg.norm(A, 2) if exact_norm else _norm_lower_bound(A)
+    with np.errstate(over="ignore", invalid="ignore"):
+        right_res = float(np.max(np.linalg.norm(
+            _matmul(A, rvecs) - rvecs * evals, axis=0)))
+        # A^H·L − L·conj(E) is conj(J·(A·R − R·E)) on the right-only route
+        left_res = right_res if sign is not None else float(np.max(np.linalg.norm(
+            _matmul(A.conj().T, lvecs) - lvecs * np.conj(evals), axis=0)))
+        norm = np.linalg.norm(A, 2) if exact_norm else _norm_lower_bound(A)
     return evals, lvecs, rvecs, norm, right_res, left_res
 
 

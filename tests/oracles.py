@@ -8,16 +8,21 @@ the full space before multiplying, independently of the library's
 per-mode products. The spectrum classifier reference pairs eigenvalues by
 repeated global ``argmin`` over the distance matrix. ``full_geev`` runs one
 LAPACK ``geev`` on the whole matrix, the reference for the per-block
-factorization in ``eigendecompose``; ``doubled_graph_gauge`` labels a
+factorization in ``eigendecompose``; ``two_sided_eigendecompose`` withholds
+the transposition signature, the reference for the right-only route, and
+``has_signature`` searches every J for one; ``doubled_graph_gauge`` labels a
 doubled graph with scipy's ``connected_components``, the reference for the
 real gauge and the blocks of ``_real_form``; ``complex_boost_spinor_series``
 takes the spinor boost by ``scipy.linalg.expm``.
 """
 
+import itertools
+
 import numpy as np
 import scipy.linalg
 from scipy.sparse.csgraph import connected_components
 
+from biortho import spectral
 from biortho.fock import Realization, ladder, position_momentum
 from biortho.models import pu_mode_scales
 from biortho.spectral import SpectrumClassification
@@ -160,6 +165,29 @@ def full_geev(H):
     overlaps = np.abs(np.einsum("ki,ki->i", lvecs.conj(), rvecs))
     kappa = np.linalg.norm(lvecs, axis=0) * np.linalg.norm(rvecs, axis=0) / overlaps
     return evals, kappa
+
+
+def has_signature(H) -> bool:
+    """Whether Hᵀ = J·H·J exactly for some J = diag(±1), by trying all 2ⁿ⁻¹
+    of them with J_0 = 1 (−J works whenever J does)."""
+    n = len(H)
+    for signs in itertools.product((1.0, -1.0), repeat=n - 1):
+        J = np.array((1.0, *signs))
+        if np.array_equal(H.T, J[:, None] * H * J[None, :]):
+            return True
+    return False
+
+
+def two_sided_eigendecompose(H):
+    """``eigendecompose`` with H's transposition signature withheld, so that
+    every block takes the left side from a two-sided ``scipy.linalg.eig``
+    instead of from J·R."""
+    real_form = spectral._real_form
+    spectral._real_form = lambda H: (*real_form(H)[:3], None)
+    try:
+        return spectral.eigendecompose(H)
+    finally:
+        spectral._real_form = real_form
 
 
 def doubled_graph_gauge(H):

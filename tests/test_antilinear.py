@@ -335,7 +335,10 @@ def test_find_symmetry_error_types(monkeypatch):
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("QR iteration did not converge")
 
-    monkeypatch.setattr(scipy.linalg, "eig", no_convergence)
+    # the two geev entry points: right-only where H has a transposition
+    # signature, two-sided otherwise
+    for module in (scipy.linalg, np.linalg):
+        monkeypatch.setattr(module, "eig", no_convergence)
     with pytest.raises(ConvergenceError):
         find_antilinear_symmetry(np.diag([1 + 1j, 1 - 1j]))
 

@@ -146,7 +146,10 @@ VERDICT_CASES = {
 
 def _count_eigensolver_calls(monkeypatch) -> dict:
     calls = {"eig": 0, "eigvals": 0}
-    for module, name in ((scipy.linalg, "eig"), (np.linalg, "eigvals")):
+    # geev runs right-only (np.linalg.eig) where H has a transposition
+    # signature, two-sided (scipy.linalg.eig) otherwise: both count as "eig"
+    for module, name in ((scipy.linalg, "eig"), (np.linalg, "eig"),
+                         (np.linalg, "eigvals")):
         def spy(*args, _original=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
@@ -535,3 +538,37 @@ def test_cli_import_loads_no_sparse_module():
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                             text=True, env=env, check=True, timeout=120)
     assert result.stdout.strip() == "[]"
+
+
+def _fresh_cli(*argvs) -> tuple:
+    """Exit codes of ``main`` on each argv in one fresh interpreter, and
+    whether scipy.linalg was loaded at the end."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    probe = ("import contextlib, io, json, sys, biortho.cli\n"
+             "codes = []\n"
+             f"for argv in {[list(argv) for argv in argvs]!r}:\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "        codes.append(biortho.cli.main(argv))\n"
+             "print(json.dumps([codes, 'scipy.linalg' in sys.modules]))")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            text=True, env=env, check=True, timeout=300)
+    return tuple(json.loads(result.stdout))
+
+
+def test_spectrum_on_signature_models_loads_no_scipy_linalg():
+    # dimer, harmonic and PU have a transposition signature: their geev is
+    # numpy's right-only one, and nothing else they run needs scipy.linalg
+    codes, loaded = _fresh_cli(
+        ["spectrum", "--model", "dimer", "--g", "1", "--k", "0.5"],
+        ["spectrum", "--model", "harmonic", "--truncation", "20"],
+        ["spectrum", "--model", "pu", "--truncation", "10,10"])
+    assert codes == [0, 0, 0]
+    assert not loaded
+
+
+def test_overlap_and_checks_import_scipy_linalg_when_they_need_it():
+    # expm and the two-sided geev import scipy.linalg at their call sites
+    codes, loaded = _fresh_cli(["overlap", "--model", "dimer", "--g", "1", "--k", "0.5"],
+                               ["checks"])
+    assert codes == [0, 0]
+    assert loaded

@@ -1,3 +1,10 @@
+import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,7 +13,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.sparse.csgraph import connected_components
 
+from biortho import spectral
 from biortho.errors import ConvergenceError
+from biortho.evolution import selection_rule_check
 from biortho.fock import Realization
 from biortho.models import (
     PUParams,
@@ -16,10 +25,14 @@ from biortho.models import (
     pu_spectrum_formula,
 )
 from biortho.spectral import (
+    DEFECT_CLUSTER_TOL,
     OVERLAP_FLOOR,
     _blocks,
+    _clusters,
     _norm_lower_bound,
+    _pattern_walk,
     _real_form,
+    _relative_radius,
     classify_spectrum,
     eigendecompose,
 )
@@ -29,7 +42,9 @@ from oracles import (
     doubled_graph_gauge,
     full_geev,
     greedy_classify,
+    has_signature,
     match_distance,
+    two_sided_eigendecompose,
 )
 
 DIMER_UNBROKEN = np.sqrt(0.75)  # ±sqrt(k² − g²) at k=1, g=0.5
@@ -422,6 +437,8 @@ def test_blocks_match_scipy_connected_components(A):
     n_blocks, labels = connected_components(A != 0, directed=False)
     blocks = _blocks(A)
     assert len(blocks) == n_blocks
+    # a boolean pattern has the same blocks
+    assert [idx.tolist() for idx in _blocks(A != 0)] == [idx.tolist() for idx in blocks]
     # every index once, ascending within a block, blocks by smallest index
     assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(len(A)))
     assert [idx[0] for idx in blocks] == sorted(idx[0] for idx in blocks)
@@ -475,7 +492,7 @@ def test_position_real_cubic_gauge_is_the_fock_parity():
     # p² moves the Fock level by an even number and is real, i·x³ by an
     # odd number and is imaginary: d = i on the odd Fock states
     H = cubic_hamiltonian(60, Realization.POSITION_REAL)
-    A, odd, blocks = _real_form(H)
+    A, odd, blocks, _ = _real_form(H)
     assert np.array_equal(odd, np.arange(60) % 2 == 1)
     assert len(blocks) == 1 and not np.iscomplexobj(A)
     d = np.where(odd, 1j, 1.0)
@@ -492,7 +509,7 @@ def test_position_real_cubic_gauge_is_the_fock_parity():
 ], ids=["entry-both-parts", "imaginary-diagonal", "odd-imaginary-cycle",
         "one-imaginary-entry-in-a-cycle", "odd-cycle-beside-a-gauge-real-block"])
 def test_matrix_without_real_gauge_stays_complex(H):
-    A, odd, blocks = _real_form(np.asarray(H, dtype=complex))
+    A, odd, blocks, _ = _real_form(np.asarray(H, dtype=complex))
     assert np.iscomplexobj(A) and odd is None
     assert [idx.tolist() for idx in blocks] == [idx.tolist() for idx in _blocks(H)]
     system = eigendecompose(H)
@@ -504,7 +521,7 @@ def test_even_imaginary_cycle_has_real_gauge():
                   [1j, 1.0, 3j, 0.0],
                   [0.0, 1j, 0.0, 1j],
                   [-1j, 0.0, 1j, 0.0]])
-    A, odd, _ = _real_form(H)
+    A, odd, _, _ = _real_form(H)
     assert np.array_equal(odd, [False, True, False, True])
     assert not np.iscomplexobj(A)
     assert match_distance(eigendecompose(H).eigenvalues, np.linalg.eigvals(H)) < 1e-12
@@ -534,7 +551,7 @@ def phase_patterns(draw):
 @given(phase_patterns())
 @settings(max_examples=300, deadline=None)
 def test_real_form_matches_the_doubled_graph_gauge(H):
-    A, odd, blocks = _real_form(H)
+    A, odd, blocks, _ = _real_form(H)
     ref_odd, ref_blocks = doubled_graph_gauge(H)
     assert [idx.tolist() for idx in blocks] == [idx.tolist() for idx in ref_blocks]
     if ref_odd is None:
@@ -545,6 +562,33 @@ def test_real_form_matches_the_doubled_graph_gauge(H):
         d = np.where(odd, 1j, 1.0)
         assert not np.iscomplexobj(A)
         assert np.array_equal(d[:, None] * A / d[None, :], H)
+
+
+@st.composite
+def signed_patterns(draw):
+    """J·S for a symmetric S with zero, real, imaginary and subnormal
+    entries and a random J of ±1 (Hᵀ = J·H·J), with one entry negated,
+    doubled, zeroed or set to 1 in half the draws: a one-sided pattern or a
+    cycle whose signs do not close."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    S = draw(arrays(complex, (n, n), elements=st.sampled_from(
+        [0.0, 0.0, 1.0, -2.5, 1j, 1.0 - 1j, 1e-300, 5e-324])))
+    S = np.triu(S) + np.triu(S, 1).T
+    H = np.where(draw(arrays(bool, n)), -1.0, 1.0)[:, None] * S
+    if draw(st.booleans()):
+        index = st.integers(min_value=0, max_value=n - 1)
+        i, k = draw(index), draw(index)
+        H[i, k] = draw(st.sampled_from([-H[i, k], 2 * H[i, k], 0.0, 1.0]))
+    return H
+
+
+@given(signed_patterns())
+@settings(max_examples=300, deadline=None)
+def test_pattern_walk_finds_the_transposition_signature(H):
+    sign = _pattern_walk(H)[1]
+    assert (sign is not None) == has_signature(H)
+    if sign is not None:
+        assert np.array_equal(H.T, sign[:, None] * H * sign[None, :])
 
 
 def test_convergence_error_partial_holds_vectors_of_h():
@@ -586,7 +630,7 @@ def test_norm_lower_bound_is_at_most_the_norm(A, real):
 def test_norm_lower_bound_is_tight_on_the_model_blocks(build):
     # the gate's scale above DEFECT_SCAN_MAX_DIM: within 5% of ||A||₂ on
     # every block eigendecompose factorizes
-    A, _, blocks = _real_form(np.asarray(build(), dtype=complex))
+    A, _, blocks, _ = _real_form(np.asarray(build(), dtype=complex))
     for idx in blocks:
         block = A[np.ix_(idx, idx)]
         assert _norm_lower_bound(block) >= 0.95 * np.linalg.norm(block, 2)
@@ -625,3 +669,134 @@ def test_nilpotent_matrix_with_a_tiny_entry_has_infinite_condition_numbers():
     system = eigendecompose(H)
     assert np.all(np.isinf(system.condition_numbers))
     assert not system.is_diagonalizable
+
+
+def test_overflowing_residual_fails_the_gate():
+    # at 1e200 the residual norms overflow to inf and the power-iteration
+    # scale to NaN; either fails the gate, and no RuntimeWarning escapes
+    H = np.random.default_rng(0).standard_normal((100, 100)) * 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError):
+            eigendecompose(H)
+
+
+def _geev_routes(monkeypatch) -> list:
+    """Record, per factorized block, which ``geev`` entry point runs."""
+    routes = []
+    for module, route in ((scipy.linalg, "two-sided"), (np.linalg, "right-only")):
+        def spy(*args, _original=module.eig, _route=route, **kwargs):
+            routes.append(_route)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, "eig", spy)
+    return routes
+
+
+def _signature_cases() -> dict:
+    """Matrices with Hᵀ = J·H·J for a diagonal J of ±1."""
+    rng = np.random.default_rng(16)
+    cases = {}
+    for n in (6, 24, 80):
+        S = rng.standard_normal((n, n))
+        cases[f"real-J-S-{n}"] = rng.choice([-1.0, 1.0], n)[:, None] * (S + S.T)
+        S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        cases[f"complex-symmetric-{n}"] = S + S.T
+    cases["pu-20-20"] = pu_hamiltonian_fock(20, 20, PUParams(1.0, 1.0, 2.0))
+    return cases
+
+
+SIGNATURE_CASES = _signature_cases()
+
+
+@pytest.mark.parametrize("name", sorted(SIGNATURE_CASES))
+def test_signature_route_matches_the_two_sided_route(name, monkeypatch):
+    # <L_i| = (J·R_i)ᵀ from a right-only geev, against the left side of a
+    # two-sided geev of the same blocks
+    H = SIGNATURE_CASES[name]
+    n_blocks = len(_blocks(H))
+    routes = _geev_routes(monkeypatch)
+    signed = eigendecompose(H)
+    assert routes == ["right-only"] * n_blocks
+    two_sided = two_sided_eigendecompose(H)
+    assert routes == ["right-only"] * n_blocks + ["two-sided"] * n_blocks
+
+    # bitwise on one BLAS thread (the next test); on more, the two LAPACK
+    # builds may round differently
+    scale = np.linalg.norm(H, 2)
+    np.testing.assert_allclose(signed.eigenvalues, two_sided.eigenvalues,
+                               rtol=0, atol=1e-9 * scale)
+    kappa, reference = signed.condition_numbers, two_sided.condition_numbers
+    conditioned = reference < 1e8
+    assert conditioned.any()
+    np.testing.assert_allclose(kappa[conditioned], reference[conditioned], rtol=1e-6)
+    assert signed.defective_indices == two_sided.defective_indices
+    # the same partition into real levels, pairs and leftovers
+    ours, theirs = classify_spectrum(signed.eigenvalues), classify_spectrum(two_sided.eigenvalues)
+    assert ours.pair_indices == theirs.pair_indices
+    assert len(ours.real_singles) == len(theirs.real_singles)
+    assert len(ours.leftovers) == len(theirs.leftovers)
+    assert signed.left_residual < 1e-9 * scale
+
+
+# PU 28,28 has exactly degenerate levels (5.5, 7.5, ...), where the κ of a
+# geev vector depends on the basis geev picks, but the κ of the dual basis
+# that re-biorthogonalization leaves depends on R alone
+DEGENERATE_PU = pu_hamiltonian_fock(28, 28, PUParams(1.0, 1.0, 2.0))
+
+
+def _compare_routes(H) -> dict:
+    """Bitwise eigenvalue agreement of the two routes, the largest relative
+    gap of their κ below 1e8, and the number of cluster members."""
+    signed, two_sided = eigendecompose(H), two_sided_eigendecompose(H)
+    kappa, reference = signed.condition_numbers, two_sided.condition_numbers
+    conditioned = reference < 1e8
+    evals = two_sided.eigenvalues
+    clusters = _clusters(evals, _relative_radius(evals, DEFECT_CLUSTER_TOL))
+    return {"equal": bool((signed.eigenvalues == two_sided.eigenvalues).all()),
+            "kappa_gap": float(np.max(np.abs(kappa - reference)[conditioned]
+                                      / reference[conditioned])),
+            "clustered": sum(len(c) for c in clusters)}
+
+
+def test_signature_route_matches_the_two_sided_route_on_one_thread():
+    # numpy's right-only and scipy's two-sided geev share the Schur form on
+    # one BLAS thread, so the eigenvalues and the bases of degenerate levels
+    # agree; on two, scipy's OpenBLAS rounds the PU 20,20 blocks differently
+    # from its own one-thread result (numpy's does not)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(Path(spectral.__file__).resolve().parents[1]),
+                                          str(Path(__file__).resolve().parent)])}
+    probe = ("import json, test_spectral as t\n"
+             "cases = {**t.SIGNATURE_CASES, 'pu-28-28': t.DEGENERATE_PU}\n"
+             "print(json.dumps({name: t._compare_routes(H) for name, H in cases.items()}))")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            text=True, env=env, check=True, timeout=300)
+    report = json.loads(result.stdout)
+    assert [name for name, r in report.items() if not r["equal"]] == []
+    assert max(r["kappa_gap"] for r in report.values()) < 1e-6
+    assert report["pu-28-28"]["clustered"] > 0
+
+
+@pytest.mark.parametrize("cutoff", [16, 18, 20])
+def test_signature_route_keeps_distinct_levels_biorthogonal(cutoff):
+    # PU's close levels of large κ are where L = conj(J·R) alone leaves
+    # overlaps up to 5e-8; a two-sided geev keeps them below 2e-11
+    system = eigendecompose(pu_hamiltonian_fock(cutoff, cutoff, PUParams(1.0, 1.0, 2.0)))
+    report = selection_rule_check(system)
+    assert report.ok
+    assert report.max_forbidden_overlap < 1e-8
+
+
+def test_symmetric_pattern_without_a_signature_takes_the_two_sided_route(monkeypatch):
+    # the overlap-unbroken benchmark matrix: every entry nonzero, so its
+    # pattern is symmetric, but no ±1 relates H_kj to H_jk everywhere
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from workloads import SIZES, nonnormal_real_spectrum
+
+    H, _ = nonnormal_real_spectrum(SIZES["default"]["overlap_n"],
+                                   np.random.default_rng([0, 2]))
+    assert np.all(H != 0)
+    assert _real_form(H.astype(complex))[3] is None
+    routes = _geev_routes(monkeypatch)
+    eigendecompose(H)
+    assert routes == ["two-sided"]
