@@ -527,19 +527,30 @@ def make_parser() -> argparse.ArgumentParser:
                     "with antilinear symmetry",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
     command_only = {key for command in COMMANDS.values() for key in command.flags}
+    # the options of every subcommand, declared once and copied into each
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", help="JSON config file (flags override it)")
+    for key in OPTIONS:
+        if key not in command_only:
+            _add_option(shared, key)
+    for model, names in MODEL_PARAMETERS.items():
+        for param in sorted(names):
+            shared.add_argument(f"--{param}", help=f"{model} model parameter")
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
-        p.add_argument("--config", help="JSON config file (flags override it)")
-        for key, (_, parse, text) in OPTIONS.items():
-            if text and (key not in command_only or key in command.flags):
-                p.add_argument("--" + key.replace("_", "-"), help=text,
-                               metavar=getattr(parse, "metavar", None))
-        for model, names in MODEL_PARAMETERS.items():
-            for param in sorted(names):
-                p.add_argument(f"--{param}", help=f"{model} model parameter")
+        p = sub.add_parser(name, help=command.help, parents=[shared])
+        for key in command.flags:
+            _add_option(p, key)
     return parser
+
+
+def _add_option(parser: argparse.ArgumentParser, key: str) -> None:
+    """The flag of config key ``key``, if it has one."""
+    _, parse, text = OPTIONS[key]
+    if text:
+        parser.add_argument("--" + key.replace("_", "-"), help=text,
+                            metavar=getattr(parse, "metavar", None))
 
 
 def main(argv=None) -> int:

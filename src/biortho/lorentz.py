@@ -160,7 +160,8 @@ def charge_conjugation_matrix(basis: GammaBasis):
     eye4 = np.eye(4, dtype=complex)
     rows = [np.kron(eye4, g) + np.kron(g, eye4) for g in basis.gammas]
     A = np.vstack(rows)
-    _, s, vh = np.linalg.svd(A)
+    # the null vector is the last row of vh; the 64×64 U is never needed
+    _, s, vh = np.linalg.svd(A, full_matrices=False)
     cutoff = CONSTRAINT_RTOL * s[0]
     null_dim = int(np.sum(s <= cutoff))
     if null_dim == 0:

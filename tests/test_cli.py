@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -566,9 +567,54 @@ def test_spectrum_on_signature_models_loads_no_scipy_linalg():
     assert not loaded
 
 
+def test_spectrum_on_dimer_starts_no_worker_and_probes_no_blas():
+    # one block needs no worker thread: no thread pool module, no BLAS
+    # thread probe (numpy itself imports ctypes), one thread
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    probe = ("import contextlib, io, json, sys, threading, biortho.cli\n"
+             "from biortho import spectral\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = biortho.cli.main(['spectrum', '--model', 'dimer', '--g', '1', '--k', '0.5'])\n"
+             "print(json.dumps([code, 'concurrent.futures' in sys.modules,\n"
+             "                  spectral._blas_threads.cache_info().currsize,\n"
+             "                  threading.active_count()]))")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            text=True, env=env, check=True, timeout=120)
+    assert json.loads(result.stdout) == [0, False, 0, 1]
+
+
 def test_overlap_and_checks_import_scipy_linalg_when_they_need_it():
     # expm and the two-sided geev import scipy.linalg at their call sites
     codes, loaded = _fresh_cli(["overlap", "--model", "dimer", "--g", "1", "--k", "0.5"],
                                ["checks"])
     assert codes == [0, 0]
     assert loaded
+
+
+# the flags every subcommand takes, and those of one subcommand only
+SHARED_FLAGS = {"config", "model", "truncation", "realization", "matrix_file", "format", "out",
+                "alpha", "beta", "gamma", "omega1", "omega2", "g", "k"}
+COMMAND_FLAGS = {"spectrum": set(), "sweep": {"sweep"}, "overlap": {"t_max", "n_times"},
+                 "checks": set()}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_every_subcommand_parses_its_own_and_the_shared_flags(command):
+    flags = SHARED_FLAGS | COMMAND_FLAGS[command]
+    assert vars(cli.make_parser().parse_args([command])) == {
+        "command": command, **dict.fromkeys(flags)}
+    argv = [command]
+    for flag in sorted(flags):
+        argv += ["--" + flag.replace("_", "-"), f"v-{flag}"]
+    assert vars(cli.make_parser().parse_args(argv)) == {
+        "command": command, **{flag: f"v-{flag}" for flag in flags}}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_every_subcommand_help_lists_its_flags(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--([a-z][\w-]*)", capsys.readouterr().out))
+    assert listed == {"help"} | {flag.replace("_", "-")
+                                 for flag in SHARED_FLAGS | COMMAND_FLAGS[command]}

@@ -296,3 +296,36 @@ def test_euclidean_reality_input_validation():
         euclidean_reality(np.eye(2), 0.0)
     with pytest.raises(PropagatorRangeError):
         euclidean_reality(np.diag([-300.0, 1.0]), 5.0)
+
+
+def _eigvals_spy(monkeypatch) -> list:
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def spy(A):
+        calls.append(A)
+        return eigvals(A)
+
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
+    return calls
+
+
+def test_range_checks_skip_the_eigensolve_within_the_norm_bound(monkeypatch):
+    # the gauged cubic of the symmetry benchmark: ||H||₁·tau = 39 at n = 28
+    H = cubic_hamiltonian(28, Realization.POSITION_REAL)
+    d = np.exp(2j * np.pi * np.random.default_rng(3).uniform(size=28))
+    H = d[:, None] * H * np.conj(d)[None, :]
+    calls = _eigvals_spy(monkeypatch)
+    assert euclidean_reality(H, 0.1).trace_is_real()
+    propagator(H, 0.1)
+    assert calls == []
+
+
+def test_range_checks_fall_back_to_the_spectrum_beyond_the_norm_bound(monkeypatch):
+    # ||H||₁·t = 1e4 overflows the bound, but H is nilpotent: every growth
+    # rate is 0 and neither check may raise
+    H = np.array([[0.0, 1e4], [0.0, 0.0]])
+    calls = _eigvals_spy(monkeypatch)
+    assert euclidean_reality(H, 1.0).is_real
+    np.testing.assert_array_equal(propagator(H, 1.0), [[1.0, -1e4j], [0.0, 1.0]])
+    assert len(calls) == 2

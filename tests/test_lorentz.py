@@ -185,3 +185,25 @@ def test_spinor_and_coordinate_inversions_consistent():
     assert np.array_equal(coordinate_inversion(), -np.eye(4))
     for basis in BASES:
         assert cpt_linear_part_check(basis).residual < 1e-12
+
+
+@pytest.mark.parametrize("basis", BASES, ids=lambda b: b.name.value)
+def test_charge_conjugation_reduced_svd_keeps_the_null_vector(basis, monkeypatch):
+    # the 64×16 constraint's null vector is the last row of vh, which the
+    # reduced SVD gives bitwise as the full one does, without the 64×64 U
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(A, **kwargs):
+        calls.append((A, kwargs))
+        return svd(A, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    charge_conjugation_matrix(basis)
+    (A, kwargs), = calls
+    assert A.shape == (64, 16)
+    assert kwargs == {"full_matrices": False}
+    _, s_full, vh_full = svd(A)
+    _, s, vh = svd(A, full_matrices=False)
+    assert s.tobytes() == s_full.tobytes()
+    assert vh[-1].tobytes() == vh_full[-1].tobytes()

@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -25,10 +27,12 @@ from biortho.models import (
     pu_spectrum_formula,
 )
 from biortho.spectral import (
+    CONCURRENT_MIN_DIM,
     DEFECT_CLUSTER_TOL,
     OVERLAP_FLOOR,
     _blocks,
     _clusters,
+    _concurrently,
     _norm_lower_bound,
     _pattern_walk,
     _real_form,
@@ -758,20 +762,25 @@ def _compare_routes(H) -> dict:
             "clustered": sum(len(c) for c in clusters)}
 
 
+def _fresh_interpreter(probe: str, blas_threads: int = 1):
+    """The JSON a fresh interpreter prints after running ``probe`` with
+    this module imported as ``t`` and OpenBLAS on ``blas_threads``."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(blas_threads),
+           "PYTHONPATH": os.pathsep.join([str(Path(spectral.__file__).resolve().parents[1]),
+                                          str(Path(__file__).resolve().parent)])}
+    result = subprocess.run([sys.executable, "-c", "import json, test_spectral as t\n" + probe],
+                            capture_output=True, text=True, env=env, check=True, timeout=300)
+    return json.loads(result.stdout)
+
+
 def test_signature_route_matches_the_two_sided_route_on_one_thread():
     # numpy's right-only and scipy's two-sided geev share the Schur form on
     # one BLAS thread, so the eigenvalues and the bases of degenerate levels
     # agree; on two, scipy's OpenBLAS rounds the PU 20,20 blocks differently
     # from its own one-thread result (numpy's does not)
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join([str(Path(spectral.__file__).resolve().parents[1]),
-                                          str(Path(__file__).resolve().parent)])}
-    probe = ("import json, test_spectral as t\n"
-             "cases = {**t.SIGNATURE_CASES, 'pu-28-28': t.DEGENERATE_PU}\n"
-             "print(json.dumps({name: t._compare_routes(H) for name, H in cases.items()}))")
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                            text=True, env=env, check=True, timeout=300)
-    report = json.loads(result.stdout)
+    report = _fresh_interpreter(
+        "cases = {**t.SIGNATURE_CASES, 'pu-28-28': t.DEGENERATE_PU}\n"
+        "print(json.dumps({name: t._compare_routes(H) for name, H in cases.items()}))")
     assert [name for name, r in report.items() if not r["equal"]] == []
     assert max(r["kappa_gap"] for r in report.values()) < 1e-6
     assert report["pu-28-28"]["clustered"] > 0
@@ -800,3 +809,186 @@ def test_symmetric_pattern_without_a_signature_takes_the_two_sided_route(monkeyp
     routes = _geev_routes(monkeypatch)
     eigendecompose(H)
     assert routes == ["two-sided"]
+
+
+def _mixed_blocks() -> np.ndarray:
+    """A block with a transposition signature beside one without."""
+    rng = np.random.default_rng(17)
+    S = rng.standard_normal((80, 80))
+    return scipy.linalg.block_diag(S + S.T, rng.standard_normal((80, 80)))
+
+
+CONCURRENT_CASES = {
+    "pu-20-20": pu_hamiltonian_fock(20, 20, PUParams(1.0, 1.0, 2.0)),
+    "pu-16-16-pair": pu_hamiltonian_fock(16, 16, PUParams.from_alpha_beta(1.0, 1.0, 0.3)),
+    "signature-and-two-sided": _mixed_blocks(),
+}
+
+
+def _same_system(a, b) -> bool:
+    """Bitwise equality of two eigendecompositions."""
+    arrays = ("eigenvalues", "right_vectors", "left_vectors", "condition_numbers",
+              "right_residual", "left_residual")
+    return (all(np.asarray(getattr(a, name)).tobytes() == np.asarray(getattr(b, name)).tobytes()
+                for name in arrays)
+            and a.defective_indices == b.defective_indices and a.defects == b.defects)
+
+
+def _worker_probe() -> dict:
+    """``_concurrently`` with a worker thread forced on, however many CPUs
+    and BLAS threads: each entry answers one of the tests below."""
+    threads = []
+    factorize = spectral._factorize
+
+    def spy(*args):
+        threads.append(threading.current_thread().name)
+        return factorize(*args)
+
+    spectral._factorize = spy
+    report = {"cases": {}}
+    for name, H in CONCURRENT_CASES.items():
+        systems = []
+        for workers in (1, 2):
+            spectral._parallelism = lambda workers=workers: workers
+            threads.clear()
+            systems.append(eigendecompose(H))
+        report["cases"][name] = {"equal": _same_system(*systems),
+                                 "worker": any(n != "MainThread" for n in threads)}
+
+    H = CONCURRENT_CASES["pu-20-20"]
+    spectral._parallelism = lambda: 2
+    counts = [threading.active_count()]
+    for _ in range(20):
+        eigendecompose(H)
+        counts.append(threading.active_count())
+    report["thread_counts"] = counts
+
+    # the caller's factorization waits until the worker has failed in its own
+    failed = threading.Event()
+
+    def failing(*args):
+        if threading.current_thread() is threading.main_thread():
+            failed.wait(30)
+            return factorize(*args)
+        failed.set()
+        raise np.linalg.LinAlgError("QR iteration did not converge")
+
+    spectral._factorize = failing
+    try:
+        eigendecompose(H)
+        report["worker_error"] = None
+    except ConvergenceError as exc:
+        report["worker_error"] = str(exc)
+    spectral._factorize = spy
+
+    # each thread takes one task, at the barrier, under the caller's errstate
+    barrier = threading.Barrier(2, timeout=30)
+
+    def task():
+        barrier.wait()
+        return threading.current_thread().name, np.geterr()["divide"]
+
+    with np.errstate(divide="raise"):
+        report["errstate"] = _concurrently([task, task], [CONCURRENT_MIN_DIM] * 2)
+
+    # every task runs once, in order, with more workers than CPUs and the
+    # interpreter switching threads as often as it can
+    spectral._parallelism = lambda: 4
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = []
+        for _ in range(20):
+            ran = []
+            tasks = [lambda i=i: ran.append(i) or i for i in range(200)]
+            runs.append(_concurrently(tasks, [CONCURRENT_MIN_DIM] * 200) == list(range(200))
+                        and sorted(ran) == list(range(200)))
+    finally:
+        sys.setswitchinterval(switch)
+    report["stress"] = runs
+
+    if not hasattr(os, "fork"):
+        return report
+    # a forked child inherits no worker thread; it must start its own
+    pid = os.fork()
+    if pid == 0:
+        threads.clear()
+        eigendecompose(H)
+        os._exit(0 if any(n != "MainThread" for n in threads) else 3)
+    deadline = time.monotonic() + 60
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            report["fork_exit"] = os.waitstatus_to_exitcode(status)
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            report["fork_exit"] = "hung"
+            break
+        time.sleep(0.05)
+    return report
+
+
+@pytest.fixture(scope="module")
+def worker_report():
+    return _fresh_interpreter("print(json.dumps(t._worker_probe()))")
+
+
+def test_concurrent_blocks_match_the_plain_loop_bitwise(worker_report):
+    # E, both vector sets, κ, residuals and defects; scipy's two-sided geev
+    # holds the GIL, so its blocks stay in the calling thread
+    assert worker_report["cases"] == {
+        "pu-20-20": {"equal": True, "worker": True},
+        "pu-16-16-pair": {"equal": True, "worker": True},
+        "signature-and-two-sided": {"equal": True, "worker": False},
+    }
+
+
+def test_worker_threads_persist_across_calls(worker_report):
+    first, *rest = worker_report["thread_counts"]
+    assert first == 2
+    assert rest == [first] * 20
+
+
+def test_linalg_error_in_a_worker_is_a_convergence_error(worker_report):
+    assert "eigenvalue iteration failed" in worker_report["worker_error"]
+
+
+def test_worker_tasks_run_under_the_callers_errstate(worker_report):
+    (name_a, divide_a), (name_b, divide_b) = worker_report["errstate"]
+    assert {name_a, name_b} == {"MainThread", "biortho-worker-0"}
+    assert divide_a == divide_b == "raise"
+
+
+def test_every_task_runs_once_under_contention(worker_report):
+    assert worker_report["stress"] == [True] * 20
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_starts_its_own_worker(worker_report):
+    # a child that queued work for the parent's workers would wait forever
+    assert worker_report["fork_exit"] == 0
+
+
+def test_concurrently_is_the_plain_loop_with_one_thread(monkeypatch):
+    monkeypatch.setattr(spectral, "_parallelism", lambda: 1)
+    seen = []
+    tasks = [lambda i=i: seen.append(i) or i for i in range(4)]
+    assert _concurrently(tasks, [CONCURRENT_MIN_DIM, 1, 3 * CONCURRENT_MIN_DIM, 0]) == [0, 1, 2, 3]
+    # largest first
+    assert seen == [2, 0, 1, 3]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="Linux affinity")
+@pytest.mark.parametrize("blas_threads", [1, 2])
+def test_blas_probe_sets_the_parallelism(blas_threads):
+    # a numpy wheel whose OpenBLAS hides the thread count would silently
+    # lose the concurrent blocks; the probe must read it
+    threads, parallelism, affinity = _fresh_interpreter(
+        "print(json.dumps([t.spectral._blas_threads(), t.spectral._parallelism(),\n"
+        "                  len(t.os.sched_getaffinity(0))]))", blas_threads)
+    assert threads == blas_threads
+    if blas_threads == 1 and affinity < 2:
+        pytest.skip("one usable CPU: no worker either way")
+    assert parallelism == (affinity if blas_threads == 1 else 1)
