@@ -353,14 +353,14 @@ def build_c_operator(system: BiorthogonalSystem, pt: AntilinearOp) -> np.ndarray
             "C operator construction requires a diagonalizable system; "
             f"defective indices {system.defective_indices}"
         )
-    evals = system.eigenvalues
+    evals, R = system.eigenvalues, system.right_vectors
     n = len(evals)
     scale = max(np.max(np.abs(evals)), 1.0)
 
     signs = np.zeros(n)
     real_mask = np.abs(evals.imag) < _relative_radius(evals)
     for i in np.nonzero(real_mask)[0]:
-        r = system.right_vectors[:, i]
+        r = R[:, i]
         pt_norm = pt(r).T @ r        # bilinear: invariant under r -> e^{ia} r
         if abs(pt_norm) < PT_NORM_FLOOR * np.vdot(r, r).real:
             raise SignAmbiguityError(
@@ -371,7 +371,7 @@ def build_c_operator(system: BiorthogonalSystem, pt: AntilinearOp) -> np.ndarray
     for i in np.nonzero(~real_mask)[0]:
         signs[i] = 1.0 if evals[i].imag > 0 else -1.0
 
-    C = (system.right_vectors * signs) @ system.left_vectors.conj().T
+    C = (R * signs) @ system.left_vectors.conj().T
 
     c_scale = max(np.linalg.norm(C), 1.0)
     involution = np.linalg.norm(C @ C - np.eye(n)) / c_scale

@@ -164,11 +164,12 @@ def overlap_trace(system: BiorthogonalSystem, t_max: float = 10.0,
                 gap = max(gap, float(np.max(np.abs(X_t - X * np.exp(-1j * labels * t)))))
             return gap
 
-        H = system.matrix
-        # the R and the L chain share nothing, so they may run side by side
+        H, R, L = system.matrix, system.right_vectors, system.left_vectors
+        # the R and the L chain share nothing, so they may run side by side;
+        # both bases are read here, not in the chains, so that a system's
+        # deferred completion never runs inside them
         agreement = max(_concurrently(
-            [lambda: chain(H, system.right_vectors, E),
-             lambda: chain(H.conj().T, system.left_vectors, np.conj(E))],
+            [lambda: chain(H, R, E), lambda: chain(H.conj().T, L, np.conj(E))],
             [len(E), len(E)]))
 
     return OverlapTrace(times=times, initial_overlaps=G0, right_eigenvalues=E.copy(),

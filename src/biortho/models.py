@@ -272,13 +272,30 @@ def pu_hamiltonian_fock(n1: int, n2: int, params: PUParams,
 
     x, px = _scaled_x_mode(n1, sx, realizations[0])
     z, pz = _scaled_z_mode(n2, sz, realizations[1])
-    eye1 = np.eye(n1, dtype=complex)
-    eye2 = np.eye(n2, dtype=complex)
 
     g = params.gamma
-    H = (np.kron(px @ px / (2.0 * g), eye2) + np.kron(x, pz)
-         + np.kron(g * params.sum_sq.real / 2.0 * (x @ x), eye2)
-         - np.kron(eye1, g * params.prod_sq.real / 2.0 * (z @ z)))
+    kinetic = px @ px / (2.0 * g)
+    well = g * params.sum_sq.real / 2.0 * (x @ x)
+    z_well = g * params.prod_sq.real / 2.0 * (z @ z)
+    if any(part.imag.any() for part in (x, pz, kinetic, well, z_well)):
+        eye1 = np.eye(n1, dtype=complex)
+        eye2 = np.eye(n2, dtype=complex)
+        H = (np.kron(kinetic, eye2) + np.kron(x, pz) + np.kron(well, eye2)
+             - np.kron(eye1, z_well))
+    else:
+        # every term real (the default realizations): x ⊗ p_z written into
+        # the real parts of one zeroed complex array (H4[i1, i2, j1, j2] is
+        # H's entry (i1·n2 + i2, j1·n2 + j2)), the x-mode terms added on the
+        # blocks diagonal in the z index and the z-mode term subtracted on
+        # those diagonal in the x index, in the order of the sum above
+        H = np.zeros((n1 * n2, n1 * n2), dtype=complex)
+        H4 = H.reshape(n1, n2, n1, n2).real
+        np.multiply(x.real[:, None, :, None], pz.real[None, :, None, :], out=H4)
+        for r in range(n2):
+            H4[:, r, :, r] += kinetic.real
+            H4[:, r, :, r] += well.real
+        for r in range(n1):
+            H4[r, :, r, :] -= z_well.real
     H.setflags(write=False)
     return H
 
@@ -290,9 +307,10 @@ def pu_pt_operator(n1: int, n2: int) -> AntilinearOp:
     Under PT the oscillator coordinate is odd (x → −x, p_x → p_x) while
     the z coordinate is even (z → z, p_z → −p_z). Conjugation alone flips
     the real x's momentum and the contour z itself, so each mode needs
-    parity on top: PT = (P ⊗ P)∘K.
+    parity on top: PT = (P ⊗ P)∘K. P ⊗ P is diagonal, so only its diagonal
+    is a Kronecker product.
     """
-    return AntilinearOp(np.kron(parity(n1), parity(n2)))
+    return AntilinearOp(np.diag(np.kron(np.diagonal(parity(n1)), np.diagonal(parity(n2)))))
 
 
 def dimer_hamiltonian(g: float, k: float) -> np.ndarray:

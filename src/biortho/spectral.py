@@ -66,8 +66,22 @@ finite (the 4×4 Pais-Uhlenbeck matrix at equal frequencies reads 7.6e7), so
 each cluster of eigenvalues within DEFECT_CLUSTER_TOL of each other also
 gets a rank test, up to DEFECT_SCAN_MAX_DIM. ``is_diagonalizable`` is the
 one verdict on defectiveness, read by the CLI and every library consumer.
+
 Normalization, defect detection and the biorthogonalization of degenerate
-clusters live here.
+clusters live here, in two halves. ``eigendecompose`` returns with the
+eigenvalues, both residuals, the κ_i of the unit geev vectors (from R
+alone on the right-only route) and the defect verdicts, clusters
+included: a cluster's overlap matrix, whose condition decides whether it
+can be biorthogonalized, comes from its own columns of each block.
+That is all ``spectrum`` and ``sweep`` report. The n×n ``right_vectors``
+and ``left_vectors`` (each block's columns in their sorted positions, zero
+elsewhere), the cluster solves, ``_separate_levels`` and the final
+``condition_numbers`` are built on the first read of any of those three
+fields (``_Completion``): the same code on the same data, so the same
+bits, whichever is read first. On one BLAS thread and 2 CPUs the
+completion takes 20 ms at PU 20,20 (the rest of ``eigendecompose`` 44 ms)
+and 0.84 s at PU 40,40 (the rest 0.95 s), which ``spectrum`` no longer
+pays. The completion runs once, under a lock, since it scales L in place.
 """
 
 from __future__ import annotations
@@ -108,26 +122,83 @@ OVERLAP_FLOOR = 1e-10
 # 11 ms; two overlap chains of 32 took 19 against 11 ms, of 96 47 against
 # 72 ms)
 CONCURRENT_MIN_DIM = 64
+# a block whose largest entry lies outside [1/SAFE_SCALE, SAFE_SCALE] is
+# factorized as 2^−e·A (``_factorize``), which is exact: beyond about
+# 1e±135 geev's vectors lose all accuracy (a 100×100 standard normal matrix
+# times 1e140 fails the residual gate, times 1e-140 its relative residual
+# is 8.6), while at 2^±400 they are accurate to rounding
+SAFE_SCALE = 2.0 ** 400
 
 
 def _sort_key(values):
     return np.lexsort((values.imag, values.real))
 
 
+class _Completion:
+    """The deferred half of ``eigendecompose``: ``finish()`` returns the
+    three ``_DEFERRED`` fields. It runs once, under a lock, in whichever
+    thread first reads one of them, and keeps the arrays for the other two
+    reads; it scales L in place, so it must never run twice."""
+
+    def __init__(self, finish):
+        self.lock = threading.Lock()
+        self.finish = finish
+        self.values = None
+
+    def result(self) -> dict:
+        with self.lock:
+            if self.values is None:
+                if self.finish is None:
+                    raise RuntimeError("the biorthogonal completion failed on an earlier read")
+                finish, self.finish = self.finish, None
+                self.values = dict(zip(_DEFERRED, finish()))
+        return self.values
+
+
+class _Deferred:
+    """A field of ``BiorthogonalSystem`` that may hold a pending
+    ``_Completion``, replaced by its array on first read. It has no class
+    default, so the dataclass field stays a required argument, and
+    ``dataclasses.replace`` reads (and so completes) it like any field."""
+
+    def __set_name__(self, owner, name):
+        self.name, self.slot = name, "_" + name
+
+    def __get__(self, system, owner=None):
+        if system is None:
+            raise AttributeError(self.name)
+        value = system.__dict__[self.slot]
+        if isinstance(value, _Completion):
+            value = system.__dict__[self.slot] = value.result()[self.name]
+        return value
+
+    def __set__(self, system, value):
+        system.__dict__[self.slot] = value
+
+
+_DEFERRED = ("right_vectors", "left_vectors", "condition_numbers")
+
+
 @dataclass
 class BiorthogonalSystem:
     """Right/left eigensystem of a square complex matrix; column i of
-    ``left_vectors`` belongs to column i of ``right_vectors``."""
+    ``left_vectors`` belongs to column i of ``right_vectors``. Those two
+    and ``condition_numbers`` are built on first read (``eigendecompose``);
+    every other field is there from the start."""
 
     matrix: np.ndarray
     eigenvalues: np.ndarray          # E_i, sorted by (Re, Im)
-    right_vectors: np.ndarray        # columns |R_i>, unit norm
-    left_vectors: np.ndarray         # columns |L_i>, scaled so <L_i|R_i> = 1
-    condition_numbers: np.ndarray    # κ_i = ||L_i||·||R_i||/|<L_i|R_i>| (>= 1)
+    right_vectors: np.ndarray = _Deferred()      # columns |R_i>, unit norm
+    left_vectors: np.ndarray = _Deferred()       # columns |L_i>, <L_i|R_i> = 1
+    condition_numbers: np.ndarray = _Deferred()  # κ_i = ||L_i||·||R_i||/|<L_i|R_i>| >= 1
     right_residual: float            # max_i ||H R_i - E_i R_i||
     left_residual: float             # max_i ||H† L_i - conj(E_i) L_i||
     defective_indices: list = field(default_factory=list)
     defects: list = field(default_factory=list)   # DefectReport per defective cluster
+
+    def __getstate__(self) -> dict:
+        # copies and pickles carry the arrays, not the pending completion
+        return {**self.__dict__, **{"_" + name: getattr(self, name) for name in _DEFERRED}}
 
     @property
     def dimension(self) -> int:
@@ -173,7 +244,10 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
     size, with its DefectReport in ``defects``. Every other cluster free of
     flagged indices is re-biorthogonalized, and on the right-only route so
     are the overlaps of distinct levels (``_separate_levels``).
-    ``condition_numbers`` are those of the vectors returned.
+    ``condition_numbers`` are those of the vectors returned. Those vectors,
+    the solves and ``condition_numbers`` are made on the first read of
+    ``right_vectors``, ``left_vectors`` or ``condition_numbers``
+    (``_complete``); every verdict is there before.
     """
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -187,18 +261,18 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
     # own, and one block is A itself, not a copy
     A, odd, blocks, sign = _real_form(H)
     n = H.shape[0]
+    signs = [None if sign is None else sign[idx] for idx in blocks]
     try:
         parts = _concurrently(
-            [lambda idx=idx: _factorize(A if len(blocks) == 1 else A[np.ix_(idx, idx)],
-                                        n <= DEFECT_SCAN_MAX_DIM,
-                                        None if sign is None else sign[idx])
-             for idx in blocks],
+            [lambda idx=idx, s=s: _factorize(A if len(blocks) == 1 else A[np.ix_(idx, idx)],
+                                              n <= DEFECT_SCAN_MAX_DIM, s)
+             for idx, s in zip(blocks, signs)],
             # scipy's two-sided geev holds the GIL: a second thread cannot
             # overlap it
             [0 if sign is None else len(idx) for idx in blocks])
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
-    evals, lvecs, rvecs, norms, right, left = zip(*parts)
+    evals, lvecs, rvecs, norms, right, left, overlaps, kappas = zip(*parts)
     evals = np.concatenate(evals)
     order = _sort_key(evals)
     evals = evals[order]
@@ -207,6 +281,7 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
     right_res, left_res = max(right), max(left)
     # overflow leaves inf or NaN on either side, and that fails the gate
     if not max(right_res, left_res) <= tol * scale < np.inf:
+        lvecs = [_left(L, R, s) for L, R, s in zip(lvecs, rvecs, signs)]
         raise ConvergenceError(
             f"eigenvector residual {max(right_res, left_res):.3e} exceeds "
             f"{tol:.1e}·||H||",
@@ -214,28 +289,18 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
                      np.conj(evals), _gauge(_assemble(blocks, order, lvecs), odd)),
         )
 
-    # the geev vectors' κ (which flags a defect) and the left scaling need
-    # only each block's own rows
-    kappa = []
-    for L, R in zip(lvecs, rvecs):
-        overlaps = np.einsum("ki,ki->i", L.conj(), R)
-        # κ is infinite where the overlap vanishes or underflows
-        with np.errstate(divide="ignore", over="ignore"):
-            k = np.linalg.norm(L, axis=0) * np.linalg.norm(R, axis=0) / np.abs(overlaps)
-        kept = ~(k > 1.0 / OVERLAP_FLOOR)
-        L[:, kept] /= np.conj(overlaps[kept])
-        kappa.append(k)
-    kappa = np.concatenate(kappa)[order]
-    lvecs, rvecs = _assemble(blocks, order, lvecs), _assemble(blocks, order, rvecs)
+    kappa = np.concatenate(kappas)[order]
     flagged = kappa > 1.0 / OVERLAP_FLOOR
     # a cluster whose geometric multiplicity falls short of its size is a
     # Jordan block, however well conditioned geev's vectors look. geev
     # back-transforms each vector on its own, so inside any other cluster
-    # the two bases need not be biorthogonal: solve the small overlap
-    # system, except in clusters holding a flagged index; a cluster too
-    # ill-conditioned to solve counts as defective
+    # the two bases need not be biorthogonal: the completion solves the
+    # small overlap system, except in clusters holding a flagged index; a
+    # cluster too ill-conditioned to solve counts as defective. Its overlaps
+    # are read off its own columns, exactly those of the n×n arrays
     defective = set(np.flatnonzero(flagged).tolist())
-    defects = []
+    defects, solvable = [], []
+    places = _places(blocks, order) if len(blocks) > 1 else None
     for block in _clusters(evals, _relative_radius(evals, DEFECT_CLUSTER_TOL)):
         if n <= DEFECT_SCAN_MAX_DIM:
             report = _cluster_defect(A, complex(np.mean(evals[block])),
@@ -245,12 +310,50 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
                 defective.update(block.tolist())
                 continue
         if not flagged[block].any():
-            O = lvecs[:, block].conj().T @ rvecs[:, block]
+            ltype = np.result_type(*(R if L is None else L for L, R in zip(lvecs, rvecs)))
+            L = _columns(blocks, places, block, ltype, lambda b, cols: _left(
+                lvecs[b], rvecs[b], signs[b], cols) / np.conj(overlaps[b][cols]))
+            O = L.conj().T @ _columns(blocks, places, block, np.result_type(*rvecs),
+                                      lambda b, cols: rvecs[b][:, cols])
             if np.linalg.cond(O) < 1e8:
-                lvecs[:, block] = lvecs[:, block] @ np.linalg.inv(O).conj().T
+                solvable.append((block, O))
             else:
                 defective.update(block.tolist())
-    if sign is not None:
+
+    # the n×n bases wait for their first read: spectrum and sweep never make
+    # one
+    pending = _Completion(functools.partial(
+        _complete, blocks, order, odd, signs, lvecs, rvecs, overlaps, kappas, solvable,
+        defective))
+    return BiorthogonalSystem(
+        matrix=H,
+        eigenvalues=evals,
+        right_vectors=pending,
+        left_vectors=pending,
+        condition_numbers=pending,
+        right_residual=right_res,
+        left_residual=left_res,
+        defective_indices=sorted(defective),
+        defects=defects,
+    )
+
+
+def _complete(blocks, order, odd, signs, lvecs, rvecs, overlaps, kappas, solvable,
+              defective) -> tuple:
+    """The deferred half of ``eigendecompose``: the n×n (R, L, κ) from each
+    block's geev vectors (L None where it is conj(J·R)), their overlaps
+    <L_i|R_i> and κ_i, and the clusters ``solvable`` with their overlap
+    matrices. It scales the blocks' L in place."""
+    lefts = []
+    for L, R, s, overlap, k in zip(lvecs, rvecs, signs, overlaps, kappas):
+        L = _left(L, R, s)
+        kept = ~(k > 1.0 / OVERLAP_FLOOR)
+        L[:, kept] /= np.conj(overlap[kept])
+        lefts.append(L)
+    lvecs, rvecs = _assemble(blocks, order, lefts), _assemble(blocks, order, rvecs)
+    for block, O in solvable:
+        lvecs[:, block] = lvecs[:, block] @ np.linalg.inv(O).conj().T
+    if signs[0] is not None:  # the right-only route
         _separate_levels(lvecs, rvecs, blocks, order, defective)
     # κ of the vectors returned: in a re-biorthogonalized cluster, that of
     # the dual basis, which R alone fixes, whichever route gave L. vecdot
@@ -259,18 +362,13 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
         kappa = np.sqrt(np.vecdot(lvecs, lvecs, axis=0).real
                         * np.vecdot(rvecs, rvecs, axis=0).real) / np.abs(
             np.vecdot(lvecs, rvecs, axis=0))
+    return _gauge(rvecs, odd), _gauge(lvecs, odd), kappa
 
-    return BiorthogonalSystem(
-        matrix=H,
-        eigenvalues=evals,
-        right_vectors=_gauge(rvecs, odd),
-        left_vectors=_gauge(lvecs, odd),
-        condition_numbers=kappa,
-        right_residual=right_res,
-        left_residual=left_res,
-        defective_indices=sorted(defective),
-        defects=defects,
-    )
+
+def _left(L, R, sign, cols=slice(None)) -> np.ndarray:
+    """Columns ``cols`` of a block's left vectors: geev's L, or conj(J·R)
+    where L is None."""
+    return np.conj(sign[:, None] * R[:, cols]) if L is None else L[:, cols]
 
 
 def _separate_levels(lvecs, rvecs, blocks, order, defective) -> None:
@@ -289,7 +387,7 @@ def _separate_levels(lvecs, rvecs, blocks, order, defective) -> None:
     invertible (Gershgorin)."""
     kept = np.ones(len(order), dtype=bool)
     kept[sorted(defective)] = False
-    owner = np.repeat(np.arange(len(blocks)), [len(idx) for idx in blocks])[order]
+    owner = _places(blocks, order)[0]
     for b, idx in enumerate(blocks):
         cols = np.flatnonzero(kept & (owner == b))
         if len(cols) > 1:
@@ -430,13 +528,24 @@ def _split(root) -> list:
 
 def _factorize(A, exact_norm: bool, sign) -> tuple:
     """One ``geev`` of A: (E, L, R) sorted by (Re, Im), ||A||₂ (or, unless
-    ``exact_norm``, its lower bound ``_norm_lower_bound``), and the largest
-    right and left residual norms, inf or NaN where they overflow.
+    ``exact_norm``, its lower bound ``_norm_lower_bound``), the largest
+    right and left residual norms, inf or NaN where they overflow, and each
+    geev pair's overlap <L_i|R_i> and condition number κ_i.
 
     With A's transposition signature Aᵀ = J·A·J, J = diag(sign), the
     ``geev`` is right-only (``np.linalg.eig``): <L_i| = (J·R_i)ᵀ solves
-    <L_i|A = E_i<L_i|, since Aᵀ·J·R_i = J·A·R_i = E_i·J·R_i. With sign
-    None, ``scipy.linalg.eig`` back-transforms both sides."""
+    <L_i|A = E_i<L_i|, since Aᵀ·J·R_i = J·A·R_i = E_i·J·R_i. L is then
+    None, left for ``_left`` to form, and R alone gives the overlap
+    Σ_k J_k·R_ki² and ||L_i|| = ||R_i||. With sign None,
+    ``scipy.linalg.eig`` back-transforms both sides.
+
+    An A whose largest entry lies outside [1/SAFE_SCALE, SAFE_SCALE] is
+    factorized as 2^−e·A, e the binary exponent of that entry; E, the norm
+    and the residuals are scaled back by 2^e, exactly."""
+    peak = float(np.max(np.abs(A)))
+    exponent = 0 if 1.0 / SAFE_SCALE <= peak <= SAFE_SCALE else int(np.frexp(peak)[1])
+    if exponent:
+        A = _ldexp(A, -exponent)
     if sign is None:
         import scipy.linalg
 
@@ -446,9 +555,19 @@ def _factorize(A, exact_norm: bool, sign) -> tuple:
         evals, rvecs = np.linalg.eig(A)
         # an all-real spectrum of a real A comes back as a real array
         evals = evals.astype(complex, copy=False)
-        lvecs = np.conj(sign[:, None] * rvecs)
+        lvecs = None
     order = _sort_key(evals)
-    evals, lvecs, rvecs = evals[order], lvecs[:, order], rvecs[:, order]
+    evals, rvecs = evals[order], rvecs[:, order]
+    size = np.linalg.norm(rvecs, axis=0)
+    if sign is None:
+        lvecs = lvecs[:, order]
+        overlaps = np.einsum("ki,ki->i", lvecs.conj(), rvecs)
+        left_size = np.linalg.norm(lvecs, axis=0)
+    else:
+        overlaps, left_size = np.einsum("ki,ki->i", sign[:, None] * rvecs, rvecs), size
+    # κ is infinite where the overlap vanishes or underflows
+    with np.errstate(divide="ignore", over="ignore"):
+        kappa = left_size * size / np.abs(overlaps)
     with np.errstate(over="ignore", invalid="ignore"):
         right_res = float(np.max(np.linalg.norm(
             _matmul(A, rvecs) - rvecs * evals, axis=0)))
@@ -456,7 +575,19 @@ def _factorize(A, exact_norm: bool, sign) -> tuple:
         left_res = right_res if sign is not None else float(np.max(np.linalg.norm(
             _matmul(A.conj().T, lvecs) - lvecs * np.conj(evals), axis=0)))
         norm = np.linalg.norm(A, 2) if exact_norm else _norm_lower_bound(A)
-    return evals, lvecs, rvecs, norm, right_res, left_res
+        if exponent:
+            evals = _ldexp(evals, exponent)
+            norm, right_res, left_res = (float(np.ldexp(x, exponent))
+                                         for x in (norm, right_res, left_res))
+    return evals, lvecs, rvecs, norm, right_res, left_res, overlaps, kappa
+
+
+def _ldexp(X, exponent: int) -> np.ndarray:
+    """X·2^exponent, exact unless it over- or underflows; complex X part
+    by part."""
+    if np.iscomplexobj(X):
+        return np.ldexp(np.ascontiguousarray(X).view(float), exponent).view(complex)
+    return np.ldexp(X, exponent)
 
 
 def _norm_lower_bound(A) -> float:
@@ -493,6 +624,30 @@ def _assemble(blocks, order, vectors) -> np.ndarray:
     for idx, block in zip(blocks, vectors):
         out[np.ix_(idx, where[start:start + len(idx)])] = block
         start += len(idx)
+    return out
+
+
+def _places(blocks, order) -> tuple:
+    """(owner, column) of each sorted position p: the block that
+    ``_assemble`` takes column p from, and its column in that block."""
+    sizes = [len(idx) for idx in blocks]
+    starts = np.repeat(np.cumsum([0, *sizes[:-1]]), sizes)
+    return (np.repeat(np.arange(len(blocks)), sizes)[order],
+            (np.arange(len(order)) - starts)[order])
+
+
+def _columns(blocks, places, members, dtype, pick) -> np.ndarray:
+    """``_assemble(blocks, order, vectors)[:, members]`` without the n×n
+    array, in the same memory order as that slice: ``pick(b, cols)`` gives
+    columns ``cols`` of block b's vectors, ``places`` is
+    ``_places(blocks, order)``, or None for one block."""
+    if places is None:
+        return pick(0, members)
+    owner, column = places[0][members], places[1][members]
+    out = np.zeros((len(places[0]), len(members)), dtype, order="F")
+    for b in dict.fromkeys(owner.tolist()):
+        mine = np.flatnonzero(owner == b)
+        out[blocks[b][:, None], mine] = pick(b, column[mine])
     return out
 
 

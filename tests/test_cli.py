@@ -191,6 +191,36 @@ def test_sweep_reports_the_eigendecompose_defect_verdict(capsys, monkeypatch):
         assert calls == {"eig": len(expected), "eigvals": 0}
 
 
+def test_spectrum_and_sweep_never_build_the_n_by_n_bases(capsys, monkeypatch):
+    # both report eigenvalues, residuals and defect verdicts, which
+    # eigendecompose has before its deferred completion: the n×n bases and
+    # the overlap solves on them wait for a read that never comes
+    from biortho import spectral
+
+    calls = []
+    for name in ("_assemble", "_separate_levels"):
+        monkeypatch.setattr(spectral, name, lambda *args, _f=getattr(spectral, name), _n=name:
+                            calls.append(_n) or _f(*args))
+    spectrum = ("spectrum", "--model", "pu", "--truncation", "20,20")
+    code, lazy = run_cli(capsys, *spectrum)
+    assert code == 0
+    code, _ = run_cli(capsys, "sweep", "--model", "dimer", "--sweep", "g:0:2:81")
+    assert code == 0
+    assert calls == []
+
+    # the same report, byte for byte, from a system completed before it
+    def completed(H):
+        system = eigendecompose(H)
+        system.right_vectors
+        return system
+
+    monkeypatch.setattr(cli, "eigendecompose", completed)
+    code, eager = run_cli(capsys, *spectrum)
+    assert code == 0
+    assert calls == ["_assemble", "_assemble", "_separate_levels"]
+    assert eager == lazy
+
+
 def test_sweep_single_step_degenerates_to_spectrum(capsys):
     code, out = run_cli(capsys, "sweep", "--model", "dimer", "--k", "1",
                         "--sweep", "g:0.5:0.5:1")

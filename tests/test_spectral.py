@@ -1,10 +1,13 @@
+import copy
 import json
 import os
+import pickle
 import subprocess
 import sys
 import threading
 import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +20,7 @@ from scipy.sparse.csgraph import connected_components
 
 from biortho import spectral
 from biortho.errors import ConvergenceError
-from biortho.evolution import selection_rule_check
+from biortho.evolution import overlap_trace, selection_rule_check
 from biortho.fock import Realization
 from biortho.models import (
     PUParams,
@@ -30,6 +33,7 @@ from biortho.spectral import (
     CONCURRENT_MIN_DIM,
     DEFECT_CLUSTER_TOL,
     OVERLAP_FLOOR,
+    SAFE_SCALE,
     _blocks,
     _clusters,
     _concurrently,
@@ -676,13 +680,45 @@ def test_nilpotent_matrix_with_a_tiny_entry_has_infinite_condition_numbers():
 
 
 def test_overflowing_residual_fails_the_gate():
-    # at 1e200 the residual norms overflow to inf and the power-iteration
-    # scale to NaN; either fails the gate, and no RuntimeWarning escapes
-    H = np.random.default_rng(0).standard_normal((100, 100)) * 1e200
+    # at 1e307 ||H||₂ is about 2e308: the power-of-two prescale keeps the
+    # factorization finite, but the norm scaled back overflows to inf, which
+    # fails the gate, and no RuntimeWarning escapes (1e200 factorizes: see
+    # the test below)
+    H = np.random.default_rng(0).standard_normal((100, 100)) * 1e307
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceError):
             eigendecompose(H)
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e200, 1e-300])
+def test_extreme_scales_factorize_as_a_power_of_two_multiple(scale):
+    # geev's vectors lose all accuracy beyond about 1e±135; 2^−e·H keeps
+    # them, and E comes back times 2^e, exactly
+    B = np.random.default_rng(0).standard_normal((100, 100))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        system = eigendecompose(B * scale)
+    R, E = system.right_vectors, system.eigenvalues / scale
+    norm = np.linalg.norm(B, 2)
+    assert np.max(np.linalg.norm(B @ R - R * E, axis=0)) < 1e-12 * norm
+    assert match_distance(E, eigendecompose(B).eigenvalues) < 1e-12 * norm
+    assert system.is_diagonalizable
+
+
+@pytest.mark.parametrize("exponent", [-400, 400])
+def test_the_edges_of_the_safe_scale_factorize_unscaled(exponent, monkeypatch):
+    # largest entry 2^±400, inside [1/SAFE_SCALE, SAFE_SCALE]: no prescale,
+    # and geev's own residual is still at rounding level
+    assert SAFE_SCALE == 2.0 ** 400
+    B = np.random.default_rng(0).standard_normal((100, 100))
+    H = np.ldexp(B / np.max(np.abs(B)), exponent)
+    scaled = []
+    monkeypatch.setattr(spectral, "_ldexp", lambda *args: scaled.append(args))
+    system = eigendecompose(H)
+    assert scaled == []
+    norm = np.linalg.norm(H, 2)
+    assert max(system.right_residual, system.left_residual) < 1e-13 * norm
 
 
 def _geev_routes(monkeypatch) -> list:
@@ -834,6 +870,76 @@ def _same_system(a, b) -> bool:
             and a.defective_indices == b.defective_indices and a.defects == b.defects)
 
 
+DEFERRAL_CASES = {
+    **CONCURRENT_CASES,
+    "pu-12-12": pu_hamiltonian_fock(12, 12, PUParams(1.0, 1.0, 2.0)),
+    "cubic-200-position-real": cubic_hamiltonian(200, Realization.POSITION_REAL),
+    "cubic-200-position-imaginary": cubic_hamiltonian(200, Realization.POSITION_IMAGINARY),
+    "gauged-cubic-28": (lambda d, H: d[:, None] * H * np.conj(d)[None, :])(
+        np.exp(2j * np.pi * np.random.default_rng(28).uniform(size=28)),
+        cubic_hamiltonian(28, Realization.POSITION_REAL)),
+}
+
+
+def _pending(system) -> bool:
+    """Whether no deferred field of ``system`` has been read yet."""
+    return all(isinstance(system.__dict__["_" + name], spectral._Completion)
+               for name in spectral._DEFERRED)
+
+
+@pytest.mark.parametrize("name", sorted(DEFERRAL_CASES))
+def test_vectors_read_before_or_after_the_flags_agree_bitwise(name):
+    # the flags are eager, the bases and κ deferred: neither order of reads
+    # changes a bit of either
+    H = DEFERRAL_CASES[name]
+    vectors_first, flags_first = eigendecompose(H), eigendecompose(H)
+    assert _pending(vectors_first) and _pending(flags_first)
+    vectors = [vectors_first.right_vectors, vectors_first.left_vectors,
+               vectors_first.condition_numbers]
+    flags = (flags_first.defective_indices, flags_first.defects, flags_first.is_diagonalizable)
+    assert _pending(flags_first)
+    assert (vectors_first.defective_indices, vectors_first.defects,
+            vectors_first.is_diagonalizable) == flags
+    assert _same_system(vectors_first, flags_first)
+    assert all(a is b for a, b in zip(vectors, (vectors_first.right_vectors,
+                                                vectors_first.left_vectors,
+                                                vectors_first.condition_numbers)))
+
+
+def test_replace_copy_and_pickle_carry_the_deferred_fields():
+    H = DEFERRAL_CASES["pu-12-12"]
+    reference = eigendecompose(H)
+    # replace reads every field it keeps, and so completes a pending system
+    system = eigendecompose(H)
+    shifted = replace(system, eigenvalues=system.eigenvalues + 1e-8)
+    assert not _pending(system)
+    assert shifted.right_vectors is system.right_vectors
+    assert shifted.condition_numbers is system.condition_numbers
+    left = 2 * system.left_vectors
+    relabelled = replace(system, left_vectors=left)
+    assert relabelled.left_vectors is left
+    assert relabelled.right_vectors is system.right_vectors
+    assert _same_system(system, reference)
+    # copies and pickles carry the completed arrays
+    pending = eigendecompose(H)
+    twin = copy.copy(pending)
+    assert twin.right_vectors is pending.right_vectors
+    assert twin.left_vectors is pending.left_vectors
+    assert _same_system(twin, reference)
+    for clone in (copy.deepcopy(eigendecompose(H)),
+                  pickle.loads(pickle.dumps(eigendecompose(H)))):
+        assert not _pending(clone)
+        assert _same_system(clone, reference)
+
+
+def _same_trace(a, b) -> bool:
+    """Bitwise equality of two overlap traces."""
+    return all(np.asarray(getattr(a, name)).tobytes() == np.asarray(getattr(b, name)).tobytes()
+               for name in ("times", "initial_overlaps", "right_eigenvalues",
+                            "left_eigenvalues", "drift", "method_agreement",
+                            "literal_time_bound"))
+
+
 def _worker_probe() -> dict:
     """``_concurrently`` with a worker thread forced on, however many CPUs
     and BLAS threads: each entry answers one of the tests below."""
@@ -862,6 +968,23 @@ def _worker_probe() -> dict:
         eigendecompose(H)
         counts.append(threading.active_count())
     report["thread_counts"] = counts
+
+    # overlap_trace's two chains with the worker forced on: one completion
+    # per system, and bitwise the plain loop's trace
+    completions = []
+    complete = spectral._complete
+
+    def counted(*args):
+        completions.append(threading.current_thread().name)
+        return complete(*args)
+
+    spectral._complete = counted
+    traces = []
+    for workers in (1, 2):
+        spectral._parallelism = lambda workers=workers: workers
+        traces.append(overlap_trace(eigendecompose(DEFERRAL_CASES["pu-12-12"])))
+    report["overlap_trace"] = {"equal": _same_trace(*traces), "completions": len(completions)}
+    spectral._complete = complete
 
     # the caller's factorization waits until the worker has failed in its own
     failed = threading.Event()
@@ -906,6 +1029,33 @@ def _worker_probe() -> dict:
     finally:
         sys.setswitchinterval(switch)
     report["stress"] = runs
+
+    # four threads, more than the CPUs, read the deferred fields of one
+    # pending system at once, the interpreter switching threads as often as
+    # it can: each of 20 systems completes once, and every read of a field
+    # returns the same array
+    names = ["right_vectors", "left_vectors", "condition_numbers", "right_vectors"]
+    spectral._complete = counted
+    sys.setswitchinterval(1e-6)
+    try:
+        races = []
+        for _ in range(20):
+            system = eigendecompose(DEFERRAL_CASES["pu-12-12"])
+            completions.clear()
+            barrier = threading.Barrier(len(names), timeout=30)
+
+            def read(name, system=system, barrier=barrier):
+                barrier.wait()
+                return getattr(system, name)
+
+            values = _concurrently([lambda name=name: read(name) for name in names],
+                                   [CONCURRENT_MIN_DIM] * len(names))
+            races.append(len(completions) == 1
+                         and all(v is getattr(system, name) for v, name in zip(values, names)))
+    finally:
+        sys.setswitchinterval(switch)
+        spectral._complete = complete
+    report["racing_reads"] = races
 
     if not hasattr(os, "fork"):
         return report
@@ -959,6 +1109,30 @@ def test_worker_tasks_run_under_the_callers_errstate(worker_report):
     (name_a, divide_a), (name_b, divide_b) = worker_report["errstate"]
     assert {name_a, name_b} == {"MainThread", "biortho-worker-0"}
     assert divide_a == divide_b == "raise"
+
+
+def test_overlap_trace_with_a_worker_matches_the_plain_loop_bitwise(worker_report):
+    assert worker_report["overlap_trace"] == {"equal": True, "completions": 2}
+
+
+def test_racing_reads_complete_a_system_once(worker_report):
+    # the completion scales L in place: a second run would corrupt it
+    assert worker_report["racing_reads"] == [True] * 20
+
+
+def test_a_failed_completion_is_never_run_again():
+    runs = []
+
+    def finish():
+        runs.append(None)
+        raise MemoryError("no room for the n×n bases")
+
+    pending = spectral._Completion(finish)
+    with pytest.raises(MemoryError):
+        pending.result()
+    with pytest.raises(RuntimeError, match="failed on an earlier read"):
+        pending.result()
+    assert len(runs) == 1
 
 
 def test_every_task_runs_once_under_contention(worker_report):
