@@ -277,25 +277,20 @@ def pu_hamiltonian_fock(n1: int, n2: int, params: PUParams,
     kinetic = px @ px / (2.0 * g)
     well = g * params.sum_sq.real / 2.0 * (x @ x)
     z_well = g * params.prod_sq.real / 2.0 * (z @ z)
-    if any(part.imag.any() for part in (x, pz, kinetic, well, z_well)):
-        eye1 = np.eye(n1, dtype=complex)
-        eye2 = np.eye(n2, dtype=complex)
-        H = (np.kron(kinetic, eye2) + np.kron(x, pz) + np.kron(well, eye2)
-             - np.kron(eye1, z_well))
-    else:
-        # every term real (the default realizations): x ⊗ p_z written into
-        # the real parts of one zeroed complex array (H4[i1, i2, j1, j2] is
-        # H's entry (i1·n2 + i2, j1·n2 + j2)), the x-mode terms added on the
-        # blocks diagonal in the z index and the z-mode term subtracted on
-        # those diagonal in the x index, in the order of the sum above
-        H = np.zeros((n1 * n2, n1 * n2), dtype=complex)
-        H4 = H.reshape(n1, n2, n1, n2).real
-        np.multiply(x.real[:, None, :, None], pz.real[None, :, None, :], out=H4)
-        for r in range(n2):
-            H4[:, r, :, r] += kinetic.real
-            H4[:, r, :, r] += well.real
-        for r in range(n1):
-            H4[r, :, r, :] -= z_well.real
+    # the sum K ⊗ I + x ⊗ p_z + W ⊗ I − I ⊗ Z written into one array:
+    # x ⊗ p_z first (H4[i1, i2, j1, j2] is H's entry (i1·n2 + i2, j1·n2 + j2)),
+    # the x-mode terms added on the blocks diagonal in the z index and the
+    # z-mode term subtracted on those diagonal in the x index, in the order
+    # of the sum; the entries are those of the Kronecker sum, signed zeros
+    # aside
+    H = np.empty((n1 * n2, n1 * n2), dtype=complex)
+    H4 = H.reshape(n1, n2, n1, n2)
+    np.multiply(x[:, None, :, None], pz[None, :, None, :], out=H4)
+    for r in range(n2):
+        H4[:, r, :, r] += kinetic
+        H4[:, r, :, r] += well
+    for r in range(n1):
+        H4[r, :, r, :] -= z_well
     H.setflags(write=False)
     return H
 

@@ -122,11 +122,11 @@ OVERLAP_FLOOR = 1e-10
 # 11 ms; two overlap chains of 32 took 19 against 11 ms, of 96 47 against
 # 72 ms)
 CONCURRENT_MIN_DIM = 64
-# a block whose largest entry lies outside [1/SAFE_SCALE, SAFE_SCALE] is
-# factorized as 2^−e·A (``_factorize``), which is exact: beyond about
-# 1e±135 geev's vectors lose all accuracy (a 100×100 standard normal matrix
-# times 1e140 fails the residual gate, times 1e-140 its relative residual
-# is 8.6), while at 2^±400 they are accurate to rounding
+# a matrix whose largest entry lies outside [1/SAFE_SCALE, SAFE_SCALE] has
+# each block factorized as 2^−e·A (``_factorize``), which is exact: beyond
+# about 1e±135 geev's vectors lose all accuracy (a 100×100 standard normal
+# matrix times 1e140 fails the residual gate, times 1e-140 its relative
+# residual is 8.6), while at 2^±400 they are accurate to rounding
 SAFE_SCALE = 2.0 ** 400
 
 
@@ -254,8 +254,15 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
     if H.shape[0] < 1:
         raise ValueError("empty matrix")
-    if not np.all(np.isfinite(H)):
+    # the largest part of any entry, real or imaginary, is finite exactly
+    # when H is, and the same for A, whose entries are H's times ±1 or ±i
+    parts = np.ascontiguousarray(H).view(float)
+    peak = float(np.maximum(parts.max(), -parts.min()))
+    if not np.isfinite(peak):
         raise ValueError("matrix has non-finite entries")
+    # outside [1/SAFE_SCALE, SAFE_SCALE] every block is factorized as
+    # 2^−e·A, the scale geev itself takes from the whole matrix
+    exponent = 0 if 1.0 / SAFE_SCALE <= peak <= SAFE_SCALE else int(np.frexp(peak)[1])
 
     # A = D⁻¹·H·D; each block of its nonzero pattern is factorized on its
     # own, and one block is A itself, not a copy
@@ -265,7 +272,7 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
     try:
         parts = _concurrently(
             [lambda idx=idx, s=s: _factorize(A if len(blocks) == 1 else A[np.ix_(idx, idx)],
-                                              n <= DEFECT_SCAN_MAX_DIM, s)
+                                              n <= DEFECT_SCAN_MAX_DIM, s, exponent)
              for idx, s in zip(blocks, signs)],
             # scipy's two-sided geev holds the GIL: a second thread cannot
             # overlap it
@@ -526,7 +533,7 @@ def _split(root) -> list:
     return np.split(order, np.flatnonzero(np.diff(root[order])) + 1)
 
 
-def _factorize(A, exact_norm: bool, sign) -> tuple:
+def _factorize(A, exact_norm: bool, sign, exponent: int) -> tuple:
     """One ``geev`` of A: (E, L, R) sorted by (Re, Im), ||A||₂ (or, unless
     ``exact_norm``, its lower bound ``_norm_lower_bound``), the largest
     right and left residual norms, inf or NaN where they overflow, and each
@@ -539,11 +546,8 @@ def _factorize(A, exact_norm: bool, sign) -> tuple:
     Σ_k J_k·R_ki² and ||L_i|| = ||R_i||. With sign None,
     ``scipy.linalg.eig`` back-transforms both sides.
 
-    An A whose largest entry lies outside [1/SAFE_SCALE, SAFE_SCALE] is
-    factorized as 2^−e·A, e the binary exponent of that entry; E, the norm
-    and the residuals are scaled back by 2^e, exactly."""
-    peak = float(np.max(np.abs(A)))
-    exponent = 0 if 1.0 / SAFE_SCALE <= peak <= SAFE_SCALE else int(np.frexp(peak)[1])
+    A nonzero ``exponent`` e factorizes 2^−e·A instead; E, the norm and
+    the residuals are scaled back by 2^e, exactly."""
     if exponent:
         A = _ldexp(A, -exponent)
     if sign is None:
