@@ -866,12 +866,22 @@ def classify_spectrum(eigenvalues, tol: float = CONJUGATION_TOL) -> SpectrumClas
 
     complex_evs = evs[~real_mask]
     complex_pos = order[~real_mask]
-    # |E_a - conj(E_b)| is already symmetric in (a, b)
-    dist = np.abs(complex_evs[:, None] - np.conj(complex_evs)[None, :])
-    a_idx, b_idx = np.nonzero(np.triu(dist < radius, k=1))
+    # |E_a - conj(E_b)| is symmetric in (a, b) and no less than
+    # |Re E_a - Re E_b|: with the real parts ascending, each a is measured
+    # only against the b > a whose real part lies within 2·radius of its
+    # own, in row-major order, and not against all n² of them
+    parts = complex_evs.real
+    first = np.maximum(np.searchsorted(parts, parts - 2 * radius),
+                       np.arange(1, len(parts) + 1))
+    width = np.maximum(np.searchsorted(parts, parts + 2 * radius, side="right") - first, 0)
+    a_idx = np.repeat(np.arange(len(parts)), width)
+    b_idx = np.arange(len(a_idx)) + np.repeat(first - (np.cumsum(width) - width), width)
+    dist = np.abs(complex_evs[a_idx] - np.conj(complex_evs[b_idx]))
+    close = dist < radius
+    a_idx, b_idx = a_idx[close], b_idx[close]
     # nearest first; the stable sort keeps row-major order among equal
     # distances, so each accepted pair is the nearest one left open
-    rank = np.argsort(dist[a_idx, b_idx], kind="stable")
+    rank = np.argsort(dist[close], kind="stable")
     alive = np.ones(len(complex_evs), dtype=bool)
     pairs = []
     for a, b in zip(a_idx[rank], b_idx[rank]):

@@ -31,6 +31,7 @@ from biortho.models import (
 )
 from biortho.spectral import (
     CONCURRENT_MIN_DIM,
+    CONJUGATION_TOL,
     DEFECT_CLUSTER_TOL,
     OVERLAP_FLOOR,
     SAFE_SCALE,
@@ -329,6 +330,16 @@ def test_classify_matches_greedy_oracle_on_wide_pairs():
                  + 1j * rng.choice([-3.0, -2.0, 0.0, 2.0, 3.0], k))
         for tol in (0.15, 0.3):
             assert classify_spectrum(evals, tol) == greedy_classify(evals, tol)
+
+
+def test_classify_matches_greedy_oracle_on_pu_spectra():
+    # hundreds of complex truncation levels spread along the real axis:
+    # each is measured only against its neighbours in real part
+    for params in (PUParams(1.0, 1.0, 2.0), PUParams.from_alpha_beta(1.0, 1.0, 0.3)):
+        evals = np.linalg.eigvals(pu_hamiltonian_fock(16, 16, params))
+        buckets = classify_spectrum(evals)
+        assert len(buckets.conjugate_pairs) > 50
+        assert buckets == greedy_classify(evals, CONJUGATION_TOL)
 
 
 def _floats(bound):
