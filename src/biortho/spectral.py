@@ -256,8 +256,8 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
         raise ValueError("empty matrix")
     # the largest part of any entry, real or imaginary, is finite exactly
     # when H is, and the same for A, whose entries are H's times ±1 or ±i
-    parts = np.ascontiguousarray(H).view(float)
-    peak = float(np.maximum(parts.max(), -parts.min()))
+    components = np.ascontiguousarray(H).view(float)
+    peak = float(np.maximum(components.max(), -components.min()))
     if not np.isfinite(peak):
         raise ValueError("matrix has non-finite entries")
     # outside [1/SAFE_SCALE, SAFE_SCALE] every block is factorized as

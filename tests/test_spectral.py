@@ -231,8 +231,12 @@ def test_condition_numbers():
 def test_eigendecompose_input_validation():
     with pytest.raises(ValueError):
         eigendecompose(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        eigendecompose(np.array([[np.nan, 0], [0, 1]]))
+    # any non-finite part, real or imaginary, on a contiguous or a
+    # transposed array
+    for bad in (np.nan, -np.inf, 1j * np.inf, complex(1.0, np.nan)):
+        for H in (np.array([[bad, 0], [2, 1]]), np.array([[1, 2], [bad, 1]]).T):
+            with pytest.raises(ValueError, match="non-finite"):
+                eigendecompose(H)
 
 
 def test_eigendecompose_one_by_one():
