@@ -30,6 +30,7 @@ import io
 import json
 import sys
 from contextlib import nullcontext
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -96,14 +97,21 @@ def read_matrix_file(path: str) -> np.ndarray:
         raise ConfigError(
             f"{path}: expected {n * n} entries for n={n}, found {len(entries)}"
         )
-    values = []
-    for tok in entries:
-        try:
-            re_s, im_s = tok.split(",")
-            values.append(complex(float(re_s), float(im_s)))
-        except ValueError:
-            raise ConfigError(f"{path}: entry {tok!r} is not a 're,im' pair") from None
-    matrix = np.array(values, dtype=complex).reshape(n, n)
+    try:
+        # with one comma in every entry, no entry's parts run into the next's
+        if set(map(str.count, entries, repeat(","))) != {1}:
+            raise ValueError
+        # numpy parses each part as float() does
+        parts = np.array(",".join(entries).split(","), dtype=float)
+    except ValueError:
+        for tok in entries:
+            try:
+                re_s, im_s = tok.split(",")
+                float(re_s), float(im_s)
+            except ValueError:
+                raise ConfigError(f"{path}: entry {tok!r} is not a 're,im' pair") from None
+        raise
+    matrix = parts.view(complex).reshape(n, n)
     if not np.all(np.isfinite(matrix)):
         raise ConfigError(f"{path}: matrix has non-finite entries")
     return matrix

@@ -156,12 +156,17 @@ def overlap_trace(system: BiorthogonalSystem, t_max: float = 10.0,
 
         def chain(A, X, labels) -> float:
             """max over ``checked`` of |X_k − X·diag(e^{−i·labels·t})|
-            for X_k = exp(−iAΔt)·X_{k−1}, X_0 = X."""
+            for X_k = exp(−iAΔt)·X_{k−1}, X_0 = X, stepped and compared in
+            arrays allocated once per chain."""
             step = scipy.linalg.expm(-1j * times[1] * A)
+            phases = np.exp(np.multiply.outer(checked, -1j * labels))
+            products = np.empty((2, *X.shape), dtype=complex)
+            diff, mag = np.empty(X.shape, dtype=complex), np.empty(X.shape)
             X_t, gap = X, 0.0
-            for t in checked:
-                X_t = step @ X_t
-                gap = max(gap, float(np.max(np.abs(X_t - X * np.exp(-1j * labels * t)))))
+            for k, phase in enumerate(phases):
+                X_t = np.matmul(step, X_t, out=products[k % 2])
+                np.subtract(X_t, np.multiply(X, phase, out=diff), out=diff)
+                gap = max(gap, float(np.abs(diff, out=mag).max()))
             return gap
 
         H, R, L = system.matrix, system.right_vectors, system.left_vectors

@@ -48,13 +48,14 @@ once into their sorted positions.
 
 The blocks share nothing, so ``_concurrently`` factorizes them side by
 side while numpy's OpenBLAS runs on one thread and the process may use
-more than one CPU: the calling thread and persistent worker threads take
-them largest first. At more BLAS threads two factorizations would fight
-over the same CPUs, so they run one after the other, as they do when fewer
-than two blocks reach CONCURRENT_MIN_DIM or scipy's two-sided ``geev``
-(which holds the GIL) factorizes them. Each block's factorization is the
-same LAPACK call on the same data either way, so the results are bitwise
-those of the plain loop. On the two 800×800 sectors of PU 40,40, one BLAS
+more than one CPU: the calling thread and the threads of one
+``concurrent.futures.ThreadPoolExecutor``, kept for the life of the
+process, take them largest first. At more BLAS threads two factorizations
+would fight over the same CPUs, so they run one after the other, as they
+do when fewer than two blocks reach CONCURRENT_MIN_DIM or scipy's
+two-sided ``geev`` (which holds the GIL) factorizes them. Each block's
+factorization is the same LAPACK call on the same data either way, so the
+results are bitwise those of the plain loop. On the two 800×800 sectors of PU 40,40, one BLAS
 thread and 2 CPUs, the two factorizations took 0.86 s side by side against
 1.42 s in turn.
 
@@ -599,7 +600,17 @@ def _norm_lower_bound(A) -> float:
     A^H·A reach from the all-ones vector, or A's largest column norm if
     larger (zero row sums give A·x = 0), less their rounding: a lower bound
     on ||A||₂ in O(n²) per step, where the exact norm is a full SVD.
-    Deterministic, and 0.98 of ||A||₂ or more on the model matrices."""
+    Deterministic, and 0.98 of ||A||₂ or more on the model matrices.
+
+    The steps square A's scale, so they run on 2^−e·A, its largest entry
+    in [1/2, 1), and the bound is scaled back by 2^e: exact, so the bits
+    are those of A itself wherever its steps neither over- nor underflow."""
+    exponent = int(np.frexp(np.abs(A).max())[1])
+    # not ``_ldexp``, whose calls are the prescale of ``_factorize``
+    if np.iscomplexobj(A):
+        A = np.ldexp(np.ascontiguousarray(A).view(float), -exponent).view(complex)
+    else:
+        A = np.ldexp(A, -exponent)
     n = A.shape[1]
     x = np.full(n, n ** -0.5)
     for _ in range(NORM_STEPS):
@@ -610,7 +621,7 @@ def _norm_lower_bound(A) -> float:
         x /= size
     # the products and norms round by a few n·u each
     bound = max(np.linalg.norm(A @ x), np.linalg.norm(A, axis=0).max())
-    return float(bound) * (1.0 - 4 * (n + 1) * np.finfo(float).eps)
+    return float(np.ldexp(float(bound) * (1.0 - 4 * (n + 1) * np.finfo(float).eps), exponent))
 
 
 def _assemble(blocks, order, vectors) -> np.ndarray:
@@ -667,14 +678,15 @@ def _matmul(A, X) -> np.ndarray:
 def _concurrently(tasks, sizes) -> list:
     """[task() for task in tasks] for independent dense ``tasks``, taken
     largest first from one shared list by the calling thread and by up to
-    ``_parallelism()`` − 1 persistent workers (``_Pool``), one per task of
-    at least CONCURRENT_MIN_DIM beyond the first. ``sizes`` are the tasks'
-    dimensions of dense work that runs without the GIL. A worker runs the
-    tasks in its own copy of the caller's ``contextvars`` context, so
-    ``np.errstate`` holds there too. With no worker this is the plain loop.
-    A task's exception is re-raised here once every thread is done with
-    the list; no task starts after it. A task must not call this itself:
-    in a worker it would wait on the queue that worker serves."""
+    ``_parallelism()`` − 1 threads of the ``ThreadPoolExecutor`` of
+    ``_executor``, one per task of at least CONCURRENT_MIN_DIM beyond the
+    first. ``sizes`` are the tasks' dimensions of dense work that runs
+    without the GIL. A worker runs the tasks in its own copy of the
+    caller's ``contextvars`` context, so ``np.errstate`` holds there too.
+    With no worker this is the plain loop. A task's exception is re-raised
+    here once every thread is done with the list; no task starts after it.
+    A task must not call this itself: in a worker it could wait on a
+    future that no free thread can run."""
     results = [None] * len(tasks)
     order = iter(sorted(range(len(tasks)), key=sizes.__getitem__, reverse=True))
     lock = threading.Lock()
@@ -694,12 +706,13 @@ def _concurrently(tasks, sizes) -> list:
 
     # one large task needs no worker, and no probe of the BLAS
     large = sum(size >= CONCURRENT_MIN_DIM for size in sizes)
-    helpers = min(large, _parallelism()) - 1 if large > 1 else 0
-    outcomes = _pool.start(drain, helpers) if helpers else None
+    workers = _parallelism() - 1 if large > 1 else 0
+    futures = [_executor(workers).submit(contextvars.copy_context().run, drain)
+               for _ in range(min(large - 1, workers))]
     try:
         drain()
     finally:
-        errors = [outcomes.get() for _ in range(helpers)]
+        errors = [future.exception() for future in futures]
     for error in errors:
         if error is not None:
             raise error
@@ -737,59 +750,20 @@ def _blas_threads() -> int | None:
     return None
 
 
-class _Pool:
-    """Daemon threads serving one job queue for the life of the process,
-    started when a call first needs them. A forked child inherits none of
-    them, so it starts with a pool of its own (``os.register_at_fork``)."""
+@functools.cache
+def _executor(workers: int):
+    """``_concurrently``'s threads, started as calls first need them, at
+    most ``workers`` = ``_parallelism()`` − 1: an executor marks a thread
+    idle only after it has set its future's result, so unbounded it could
+    start one more on a call that follows the last at once. A forked child
+    inherits no thread, so it builds its own (``os.register_at_fork``)."""
+    from concurrent.futures import ThreadPoolExecutor
 
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.jobs = None
-        self.threads = 0
-
-    def start(self, drain, count: int):
-        """Hand ``drain`` to ``count`` threads, each running it in its own
-        copy of the caller's context; return the queue on which each puts
-        its exception, or None, when done."""
-        from queue import SimpleQueue
-
-        with self.lock:
-            if self.jobs is None:
-                self.jobs = SimpleQueue()
-            while self.threads < count:
-                threading.Thread(target=_serve, args=(self.jobs,), daemon=True,
-                                 name=f"biortho-worker-{self.threads}").start()
-                self.threads += 1
-        outcomes = SimpleQueue()
-        for _ in range(count):
-            self.jobs.put((contextvars.copy_context(), drain, outcomes))
-        return outcomes
+    return ThreadPoolExecutor(workers, thread_name_prefix="biortho-worker")
 
 
-def _serve(jobs) -> None:
-    while True:
-        _run_job(*jobs.get())
-
-
-def _run_job(context, drain, outcomes) -> None:
-    """One job of ``_concurrently``; its references, results included, go
-    with this frame, not with the idle worker's."""
-    try:
-        context.run(drain)
-    except BaseException as exc:
-        outcomes.put(exc)
-    else:
-        outcomes.put(None)
-
-
-def _new_pool() -> None:
-    global _pool
-    _pool = _Pool()
-
-
-_pool = _Pool()
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_new_pool)
+    os.register_at_fork(after_in_child=_executor.cache_clear)
 
 
 def _clusters(evals, radius: float) -> list:

@@ -66,8 +66,11 @@ def test_criterion_01_pu_real_regime():
     assert levels[0, 1] == 3.5
 
     # Fock cross-check at 40x40; convergence study measured 2.8e-13 here,
-    # gate frozen at 1e-2
-    evals = np.linalg.eigvals(pu_hamiltonian_fock(40, 40, params))
+    # gate frozen at 1e-2. H is entrywise real, so the real eigvals (dgeev)
+    # finds its spectrum in a third of the complex one's time
+    H = pu_hamiltonian_fock(40, 40, params)
+    assert not H.imag.any()
+    evals = np.linalg.eigvals(H.real)
     evals = evals[np.argsort(evals.real)]
     fock_err = float(np.max(np.abs(evals[:4] - np.array([1.5, 2.5, 3.5, 3.5]))))
     assert fock_err < 1e-2

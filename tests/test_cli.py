@@ -12,7 +12,7 @@ import scipy.linalg
 from scipy.sparse.csgraph import connected_components
 
 from biortho import cli
-from biortho.cli import main, read_matrix_file, write_matrix_file
+from biortho.cli import ConfigError, main, read_matrix_file, write_matrix_file
 from biortho.evolution import AGREEMENT_GATE, overlap_trace
 from biortho.fock import Realization
 from biortho.models import PUParams, cubic_hamiltonian, dimer_hamiltonian, pu_dynamical_matrix
@@ -362,6 +362,33 @@ def test_matrix_file_round_trip(tmp_path):
     path = tmp_path / "m.txt"
     write_matrix_file(path, H)
     assert np.array_equal(read_matrix_file(path), H)
+
+
+@pytest.mark.parametrize("text, entry", [
+    ("2\n1,0 2,0,0 x,1 0,0\n", "'2,0,0'"),
+    # as many commas as entries: one entry's parts must not shift into
+    # the next
+    ("2\n1,0 2 3,4,5 0,0\n", "'2'"),
+    ("2\n1,0 0,0 ,1 0,0x\n", "',1'"),
+    ("1\n1,0x10\n", "'1,0x10'"),
+])
+def test_matrix_file_error_names_the_first_bad_entry(tmp_path, text, entry):
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"entry {re.escape(entry)} is not a 're,im' pair"):
+        read_matrix_file(path)
+
+
+def test_matrix_file_parts_parse_as_float_does(tmp_path):
+    parts = ["1_0", "infinity", "-0.0", "1e-320", "+.5", "nan", "-1E5", "7"]
+    path = tmp_path / "m.txt"
+    path.write_text("2\n" + " ".join(f"{a},{b}" for a, b in zip(parts[::2], parts[1::2])))
+    with pytest.raises(ConfigError, match="non-finite"):
+        read_matrix_file(path)
+    finite = [p for p in parts if p not in ("infinity", "nan")] + ["0", "-0"]
+    path.write_text("2\n" + " ".join(f"{a},{b}" for a, b in zip(finite[::2], finite[1::2])))
+    expected = np.array([float(p) for p in finite]).view(complex).reshape(2, 2)
+    assert read_matrix_file(path).tobytes() == expected.tobytes()
 
 
 def test_spectrum_custom_matrix(tmp_path, capsys):

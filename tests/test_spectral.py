@@ -1,4 +1,6 @@
+import contextlib
 import copy
+import io
 import json
 import os
 import pickle
@@ -636,10 +638,24 @@ def test_convergence_error_partial_holds_vectors_of_h():
 # zero row sums and n = 4: the all-ones start vector is exact and A·x = 0
 @example(np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 2.0, 0.0, -2.0],
                    [0.0, 0.0, 0.0, 0.0], [-3.0, 0.0, 0.0, 3.0]]), True)
+# the power steps square the entry into the subnormals, and round it up
+@example(np.array([[6.65954877e-161 + 0j]]), False)
 @settings(max_examples=200, deadline=None)
 def test_norm_lower_bound_is_at_most_the_norm(A, real):
     A = A.real if real else A
     assert _norm_lower_bound(A) <= np.linalg.norm(A, 2)
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e-100])
+def test_norm_lower_bound_is_tight_far_from_unit_scale(scale):
+    # inside the range eigendecompose factorizes unscaled, the power steps
+    # would over- or underflow and leave only the largest column norm
+    rng = np.random.default_rng(0)
+    A = (rng.standard_normal((100, 100)) + 1j * rng.standard_normal((100, 100))) * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bound = _norm_lower_bound(A)
+    assert 0.95 * np.linalg.norm(A, 2) <= bound <= np.linalg.norm(A, 2)
 
 
 @pytest.mark.parametrize("build", [
@@ -813,14 +829,21 @@ def _compare_routes(H) -> dict:
             "clustered": sum(len(c) for c in clusters)}
 
 
-def _fresh_interpreter(probe: str, blas_threads: int = 1):
-    """The JSON a fresh interpreter prints after running ``probe`` with
-    this module imported as ``t`` and OpenBLAS on ``blas_threads``."""
+def _fresh_command(probe: str, blas_threads: int = 1) -> dict:
+    """``subprocess`` arguments that run ``probe`` in a fresh interpreter
+    with this module imported as ``t`` and OpenBLAS on ``blas_threads``."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": str(blas_threads),
            "PYTHONPATH": os.pathsep.join([str(Path(spectral.__file__).resolve().parents[1]),
                                           str(Path(__file__).resolve().parent)])}
-    result = subprocess.run([sys.executable, "-c", "import json, test_spectral as t\n" + probe],
-                            capture_output=True, text=True, env=env, check=True, timeout=300)
+    return {"args": [sys.executable, "-c", "import json, test_spectral as t\n" + probe],
+            "text": True, "env": env}
+
+
+def _fresh_interpreter(probe: str, blas_threads: int = 1):
+    """The JSON a fresh interpreter prints after running ``probe``
+    (``_fresh_command``)."""
+    result = subprocess.run(**_fresh_command(probe, blas_threads), capture_output=True,
+                            check=True, timeout=300)
     return json.loads(result.stdout)
 
 
@@ -1122,7 +1145,7 @@ def test_linalg_error_in_a_worker_is_a_convergence_error(worker_report):
 
 def test_worker_tasks_run_under_the_callers_errstate(worker_report):
     (name_a, divide_a), (name_b, divide_b) = worker_report["errstate"]
-    assert {name_a, name_b} == {"MainThread", "biortho-worker-0"}
+    assert {name_a, name_b} == {"MainThread", "biortho-worker_0"}
     assert divide_a == divide_b == "raise"
 
 
@@ -1158,6 +1181,58 @@ def test_every_task_runs_once_under_contention(worker_report):
 def test_forked_child_starts_its_own_worker(worker_report):
     # a child that queued work for the parent's workers would wait forever
     assert worker_report["fork_exit"] == 0
+
+
+def _bound_probe() -> dict:
+    """Threads alive around ``_concurrently`` calls with two threads forced
+    on, and the exit code of a PU 20,20 ``spectrum`` run after them."""
+    from biortho import cli
+
+    spectral._parallelism = lambda: 2
+    counts = set()
+    for _ in range(500):
+        _concurrently([lambda: None] * 2, [CONCURRENT_MIN_DIM] * 2)
+        counts.add(threading.active_count())
+    report = {"back_to_back": sorted(counts)}
+
+    # a second caller's worker task finds the one worker held by the first
+    # caller's: it waits in the queue, and the second caller counts the
+    # threads before it lets the first caller's tasks return
+    release = threading.Event()
+    first = threading.Thread(target=_concurrently,
+                             args=([lambda: release.wait(30)] * 2, [CONCURRENT_MIN_DIM] * 2))
+    first.start()
+
+    def second():
+        count = threading.active_count()
+        release.set()
+        return count
+
+    report["two_callers"] = _concurrently([second, lambda: None], [CONCURRENT_MIN_DIM] * 2)[0]
+    first.join(30)
+    report["first_alive"] = first.is_alive()
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        report["spectrum"] = cli.main(["spectrum", "--model", "pu", "--truncation", "20,20"])
+    return report
+
+
+def test_concurrent_calls_keep_one_worker_and_the_exit_prompt():
+    # an executor marks a thread idle only after the thread has set its
+    # future's result: unbounded, it could start a second thread on a call
+    # that follows the last at once, and does on one made while the worker
+    # is busy. Its threads are no daemons, so the interpreter's exit must
+    # still wake and join them
+    command = _fresh_command("print(json.dumps(t._bound_probe()), flush=True)")
+    with subprocess.Popen(**command, stdout=subprocess.PIPE) as child:
+        try:
+            report = json.loads(child.stdout.readline())
+            assert child.wait(timeout=30) == 0
+        finally:
+            child.kill()
+    # one worker beside the main thread, and beside the first caller
+    assert report == {"back_to_back": [2], "two_callers": 3, "first_alive": False,
+                      "spectrum": 0}
 
 
 def test_concurrently_is_the_plain_loop_with_one_thread(monkeypatch):
