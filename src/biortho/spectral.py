@@ -8,21 +8,22 @@ conj(E_i) by construction. Under this labeling <L_j(t)|R_i(t)> picks up
 the phase exp(i(E_j − E_i)t), so each <L_i|R_i> is a time-independent
 scalar product and <L_j|R_i> = 0 whenever E_j != E_i.
 
-Where H has a transposition signature, Hᵀ = J·H·J exactly for a diagonal
-J of ±1, the ``geev`` is right-only (``np.linalg.eig``) and
-<L_i| = (J·R_i)ᵀ. For real H, J is a metric of its pseudo-Hermiticity,
-H† = J·H·J⁻¹ (Mostafazadeh, J. Math. Phys. 43, 205 (2002)). The models
-that CPT makes "real rather than Hermitian" (arXiv 1512.03736) have one:
-J = I for the dimer and the harmonic oscillator, J = P⊗1 (parity of the
-slow mode) for Pais-Uhlenbeck. The cubic oscillator does not: x·x·x rounds
-to a matrix symmetric only to an ulp. ``_pattern_walk`` finds J on the walk
-below. Every other H takes both sides from ``scipy.linalg.eig`` with
+Where a diagonal block of H (below) has a transposition signature,
+Hᵀ = J·H·J on it exactly for a diagonal J of ±1, its ``geev`` is
+right-only (``np.linalg.eig``) and <L_i| = (J·R_i)ᵀ. For real H, J is a
+metric of its pseudo-Hermiticity, H† = J·H·J⁻¹ (Mostafazadeh, J. Math.
+Phys. 43, 205 (2002)). The models that CPT makes "real rather than
+Hermitian" (arXiv 1512.03736) have one: J = I for the dimer and the
+harmonic oscillator, J = P⊗1 (parity of the slow mode) on each
+Pais-Uhlenbeck sector. The cubic oscillator does not: x·x·x rounds to a
+matrix symmetric only to an ulp. ``_pattern_walk`` finds each block's J.
+Every other block takes both sides from ``scipy.linalg.eig`` with
 left=True, which back-transforms them from the same Schur form; that is
 the only place scipy.linalg is imported here, so a process that factorizes
-only H with a signature never loads it. The Schur form both sides share
-cancels R's rounding out of the overlaps <L_j|R_i> of distinct levels; J·R
-carries it in, up to 5e-8 between PU's close levels of large κ, so
-``_separate_levels`` clears every such overlap above OVERLAP_FLOOR.
+only blocks with a signature never loads it. The Schur form both sides
+share cancels R's rounding out of the overlaps <L_j|R_i> of distinct
+levels; J·R carries it in, up to 5e-8 between PU's close levels of large
+κ, so ``_separate_block`` clears every such overlap above OVERLAP_FLOOR.
 
 Real ``dgeev`` runs whenever H is real up to a diagonal gauge
 D = diag(d), d in {1, i}ⁿ: on entrywise-real H (D = I), and on H with a
@@ -73,16 +74,18 @@ clusters live here, in two halves. ``eigendecompose`` returns with the
 eigenvalues, both residuals, the κ_i of the unit geev vectors (from R
 alone on the right-only route) and the defect verdicts, clusters
 included: a cluster's overlap matrix, whose condition decides whether it
-can be biorthogonalized, comes from its own columns of each block.
-That is all ``spectrum`` and ``sweep`` report. The n×n ``right_vectors``
-and ``left_vectors`` (each block's columns in their sorted positions, zero
-elsewhere), the cluster solves, ``_separate_levels`` and the final
-``condition_numbers`` are built on the first read of any of those three
-fields (``_Completion``): the same code on the same data, so the same
-bits, whichever is read first. On one BLAS thread and 2 CPUs the
-completion takes 20 ms at PU 20,20 (the rest of ``eigendecompose`` 44 ms)
-and 0.84 s at PU 40,40 (the rest 0.95 s), which ``spectrum`` no longer
-pays. The completion runs once, under a lock, since it scales L in place.
+can be biorthogonalized, is block-diagonal, one part per block it spans,
+since overlaps across blocks are exactly zero. That is all ``spectrum``
+and ``sweep`` report. The first read of ``right_vectors``,
+``left_vectors`` or ``condition_numbers`` (``_Completion``) completes each
+block's L on the block's own arrays; only then do two ``_assemble`` calls
+build the n×n bases (each block's columns in their sorted positions, zero
+elsewhere), and the final ``condition_numbers`` are read off them: the
+same code on the same data, so the same bits, whichever is read first.
+On one BLAS thread and 2 CPUs the completion takes 10 ms at PU 20,20 (the
+rest of ``eigendecompose`` 27 ms) and 0.66 s at PU 40,40 (the rest
+0.64 s), which ``spectrum`` does not pay. The completion runs once, under
+a lock, since it scales L in place.
 """
 
 from __future__ import annotations
@@ -232,7 +235,7 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
     """Full biorthogonal decomposition of a square complex matrix, one
     ``geev`` per diagonal block of its nonzero pattern (``_blocks``), real
     ``dgeev`` whenever H is real up to a diagonal gauge (``_real_form``),
-    right-only wherever H has a transposition signature (``_factorize``).
+    right-only on each block with a transposition signature (``_factorize``).
 
     Raises ConvergenceError if the QR iteration fails or the residuals of
     any block exceed tol·||H||₂ (the largest block norm; above
@@ -243,12 +246,12 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
     DEFECT_CLUSTER_TOL·max(1, max|E|)) whose geometric multiplicity
     n − rank(H − Ē·I) (rank rule of ``_cluster_defect``) is below its
     size, with its DefectReport in ``defects``. Every other cluster free of
-    flagged indices is re-biorthogonalized, and on the right-only route so
-    are the overlaps of distinct levels (``_separate_levels``).
-    ``condition_numbers`` are those of the vectors returned. Those vectors,
-    the solves and ``condition_numbers`` are made on the first read of
-    ``right_vectors``, ``left_vectors`` or ``condition_numbers``
-    (``_complete``); every verdict is there before.
+    flagged indices is re-biorthogonalized, one solve per block it spans,
+    and on each right-only block so are the overlaps of distinct levels
+    (``_separate_block``). ``condition_numbers`` are those of the vectors
+    returned. Those vectors, the solves and ``condition_numbers`` are made
+    on the first read of ``right_vectors``, ``left_vectors`` or
+    ``condition_numbers`` (``_complete``); every verdict is there before.
     """
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -269,7 +272,8 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
     # own, and one block is A itself, not a copy
     A, odd, blocks, sign = _real_form(H)
     n = H.shape[0]
-    signs = [None if sign is None else sign[idx] for idx in blocks]
+    # sign is 0 throughout a block without a signature
+    signs = [None if sign is None or not sign[idx[0]] else sign[idx] for idx in blocks]
     try:
         parts = _concurrently(
             [lambda idx=idx, s=s: _factorize(A if len(blocks) == 1 else A[np.ix_(idx, idx)],
@@ -277,7 +281,7 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
              for idx, s in zip(blocks, signs)],
             # scipy's two-sided geev holds the GIL: a second thread cannot
             # overlap it
-            [0 if sign is None else len(idx) for idx in blocks])
+            [0 if s is None else len(idx) for idx, s in zip(blocks, signs)])
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
     evals, lvecs, rvecs, norms, right, left, overlaps, kappas = zip(*parts)
@@ -304,35 +308,42 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
     # back-transforms each vector on its own, so inside any other cluster
     # the two bases need not be biorthogonal: the completion solves the
     # small overlap system, except in clusters holding a flagged index; a
-    # cluster too ill-conditioned to solve counts as defective. Its overlaps
-    # are read off its own columns, exactly those of the n×n arrays
+    # cluster too ill-conditioned to solve counts as defective
     defective = set(np.flatnonzero(flagged).tolist())
-    defects, solvable = [], []
-    places = _places(blocks, order) if len(blocks) > 1 else None
-    for block in _clusters(evals, _relative_radius(evals, DEFECT_CLUSTER_TOL)):
+    defects = []
+    # per block: (columns, overlap matrix) of each cluster it solves
+    solves = [[] for _ in blocks]
+    places = owner, column = _places(blocks, order)
+    for cluster in _clusters(evals, _relative_radius(evals, DEFECT_CLUSTER_TOL)):
         if n <= DEFECT_SCAN_MAX_DIM:
-            report = _cluster_defect(A, complex(np.mean(evals[block])),
-                                     evals[block], scale)
+            report = _cluster_defect(A, complex(np.mean(evals[cluster])),
+                                     evals[cluster], scale)
             if report.is_defective:
                 defects.append(report)
-                defective.update(block.tolist())
+                defective.update(cluster.tolist())
                 continue
-        if not flagged[block].any():
-            ltype = np.result_type(*(R if L is None else L for L, R in zip(lvecs, rvecs)))
-            L = _columns(blocks, places, block, ltype, lambda b, cols: _left(
-                lvecs[b], rvecs[b], signs[b], cols) / np.conj(overlaps[b][cols]))
-            O = L.conj().T @ _columns(blocks, places, block, np.result_type(*rvecs),
-                                      lambda b, cols: rvecs[b][:, cols])
-            if np.linalg.cond(O) < 1e8:
-                solvable.append((block, O))
-            else:
-                defective.update(block.tolist())
+        if flagged[cluster].any():
+            continue
+        # overlaps across blocks are exactly zero, so the cluster's overlap
+        # matrix is block-diagonal, one O per block it spans: its singular
+        # values, and so its condition number, are those of the O together
+        shares = []
+        for b in np.unique(owner[cluster]):
+            cols = column[cluster[owner[cluster] == b]]
+            L = _left(lvecs[b], rvecs[b], signs[b], cols) / np.conj(overlaps[b][cols])
+            shares.append((b, cols, L.conj().T @ rvecs[b][:, cols]))
+        sigma = np.concatenate([np.linalg.svd(O, compute_uv=False) for _, _, O in shares])
+        if sigma.max() < 1e8 * sigma.min():
+            for b, cols, O in shares:
+                solves[b].append((cols, O))
+        else:
+            defective.update(cluster.tolist())
 
     # the n×n bases wait for their first read: spectrum and sweep never make
     # one
     pending = _Completion(functools.partial(
-        _complete, blocks, order, odd, signs, lvecs, rvecs, overlaps, kappas, solvable,
-        defective))
+        _complete, blocks, order, places, odd, signs, lvecs, rvecs, overlaps, kappas,
+        solves, defective))
     return BiorthogonalSystem(
         matrix=H,
         eigenvalues=evals,
@@ -346,23 +357,28 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
     )
 
 
-def _complete(blocks, order, odd, signs, lvecs, rvecs, overlaps, kappas, solvable,
-              defective) -> tuple:
+def _complete(blocks, order, places, odd, signs, lvecs, rvecs, overlaps, kappas,
+              solves, defective) -> tuple:
     """The deferred half of ``eigendecompose``: the n×n (R, L, κ) from each
     block's geev vectors (L None where it is conj(J·R)), their overlaps
-    <L_i|R_i> and κ_i, and the clusters ``solvable`` with their overlap
-    matrices. It scales the blocks' L in place."""
+    <L_i|R_i> and κ_i, ``_places(blocks, order)`` and each block's share
+    of the cluster solves. Each block's L is scaled (its geev L in place),
+    solved and separated on its own arrays, the blocks in turn: a read may
+    come from a ``_concurrently`` task, which must not call it again."""
+    owner, column = places
+    kept = np.ones(len(order), dtype=bool)
+    kept[sorted(defective)] = False
     lefts = []
-    for L, R, s, overlap, k in zip(lvecs, rvecs, signs, overlaps, kappas):
+    for b, (L, R, s, overlap, k) in enumerate(zip(lvecs, rvecs, signs, overlaps, kappas)):
         L = _left(L, R, s)
-        kept = ~(k > 1.0 / OVERLAP_FLOOR)
-        L[:, kept] /= np.conj(overlap[kept])
+        scaled = ~(k > 1.0 / OVERLAP_FLOOR)
+        L[:, scaled] /= np.conj(overlap[scaled])
+        for cols, O in solves[b]:
+            L[:, cols] = L[:, cols] @ np.linalg.inv(O).conj().T
+        if s is not None:  # the right-only route
+            _separate_block(L, R, column[kept & (owner == b)])
         lefts.append(L)
     lvecs, rvecs = _assemble(blocks, order, lefts), _assemble(blocks, order, rvecs)
-    for block, O in solvable:
-        lvecs[:, block] = lvecs[:, block] @ np.linalg.inv(O).conj().T
-    if signs[0] is not None:  # the right-only route
-        _separate_levels(lvecs, rvecs, blocks, order, defective)
     # κ of the vectors returned: in a re-biorthogonalized cluster, that of
     # the dual basis, which R alone fixes, whichever route gave L. vecdot
     # conjugates its first argument without an n×n copy
@@ -379,10 +395,10 @@ def _left(L, R, sign, cols=slice(None)) -> np.ndarray:
     return np.conj(sign[:, None] * R[:, cols]) if L is None else L[:, cols]
 
 
-def _separate_levels(lvecs, rvecs, blocks, order, defective) -> None:
+def _separate_block(L, R, cols) -> None:
     """Clear the overlaps <L_j|R_i> of distinct levels that L = conj(J·R)
-    leaves above OVERLAP_FLOOR, in place, on the columns outside
-    ``defective``.
+    leaves above OVERLAP_FLOOR, in place, among the columns ``cols`` of
+    one block's L and R (its columns outside the defective indices).
 
     Such L carry R's own rounding into them: (E_i − E_j)·<L_j|R_i> =
     <s_j|R_i> − <L_j|r_i> for the residuals s, r, large for close levels
@@ -393,21 +409,9 @@ def _separate_levels(lvecs, rvecs, blocks, order, defective) -> None:
     identity to first order. Only columns with such an entry take part,
     and only while C is diagonally dominant, which keeps it safely
     invertible (Gershgorin)."""
-    kept = np.ones(len(order), dtype=bool)
-    kept[sorted(defective)] = False
-    owner = _places(blocks, order)[0]
-    for b, idx in enumerate(blocks):
-        cols = np.flatnonzero(kept & (owner == b))
-        if len(cols) > 1:
-            _separate_block(lvecs, rvecs, idx, cols)
-
-
-def _separate_block(lvecs, rvecs, rows, cols) -> None:
-    """``_separate_levels`` on one block's ``rows`` and ``cols``; its
-    copies are freed before the next block's."""
     # the rows of L^H, conjugated in the copy that indexing makes
-    Lh = lvecs[np.ix_(rows, cols)].T
-    O = np.conj(Lh, out=Lh) @ rvecs[np.ix_(rows, cols)]
+    Lh = L[:, cols].T
+    O = np.conj(Lh, out=Lh) @ R[:, cols]
     linked = np.abs(O) > OVERLAP_FLOOR
     np.fill_diagonal(linked, False)
     part = linked.any(axis=0) | linked.any(axis=1)
@@ -417,15 +421,17 @@ def _separate_block(lvecs, rvecs, rows, cols) -> None:
     # off its diagonal (still 0 here) each row of C sums below the 1 on it
     if np.abs(C).sum(axis=1).max() < 1.0:
         np.fill_diagonal(C, np.diagonal(O)[part])
-        lvecs[np.ix_(rows, cols[part])] = np.linalg.solve(C, Lh[part]).conj().T
+        L[:, cols[part]] = np.linalg.solve(C, Lh[part]).conj().T
 
 
 def _real_form(H) -> tuple:
     """(A, odd, blocks, sign): A = D⁻¹·H·D for D = diag(i^odd), the
-    diagonal blocks of H (``_blocks``), and A's transposition signature,
-    Aᵀ = J·A·J for J = diag(sign), or None if A has none. A is real
-    whenever some d in {1, i}ⁿ makes it so (odd is None for entrywise-real
-    H, where D = I); otherwise A = H and odd is None.
+    diagonal blocks of H (``_blocks``), and A's transposition signature
+    block by block (``_pattern_walk``): Aᵀ = J·A·J on each block where
+    J = diag(sign) is ±1, sign 0 on a block without one, or None if no
+    block has one. A is real whenever some d in {1, i}ⁿ makes it so (odd
+    is None for entrywise-real H, where D = I); otherwise A = H and odd is
+    None.
 
     Such a D gives H the diagonal antilinear symmetry M = D·conj(D)⁻¹ =
     diag(m), m = d² = ±1, the only one up to a phase per block: the m of
@@ -477,11 +483,11 @@ def _pattern_walk(H) -> tuple:
     block, that H can have; entries the tree does not use are left to the
     caller. Real H gives m ≡ 1 exactly.
 
-    sign is H's transposition signature: Hᵀ = J·H·J for J = diag(sign),
-    sign in {±1}ⁿ, or None if no such J exists. The tree sets
-    sign_j = ±sign_k where H_kj = ±H_jk, sign = 1 at the block's smallest
-    index, and every edge is then checked, exactly: no tolerance decides
-    it."""
+    sign is H's transposition signature per block, Hᵀ = J·H·J there for
+    J = diag(sign) of ±1, 0 on a block without one; None if no block has
+    one. The tree sets sign_j = ±sign_k where H_kj = ±H_jk, sign = 1 at
+    the block's smallest index, and every edge is then checked, exactly:
+    no tolerance decides it."""
     n = H.shape[0]
     nonzero = H != 0
     # edge k–j wherever H_jk or H_kj is nonzero, grouped by k
@@ -521,11 +527,13 @@ def _pattern_walk(H) -> tuple:
                     block[nbr] = root
                     unset -= 1
                     stack.append(nbr)
-    sign = np.array(sign)
-    # a flip of 0 anywhere rules J out; otherwise each edge must agree
-    if not (flips.all() and np.array_equal(flips, sign[j] * sign[k])):
-        sign = None
-    return np.array(m, dtype=complex), sign, np.array(block)
+    sign, block = np.array(sign), np.array(block)
+    # a block loses its J to an edge with a flip of 0 (which, on a tree
+    # edge, gives a 0 sign that agrees with itself) or one the tree fails
+    broken = np.zeros(n, dtype=bool)
+    broken[block[k[(flips == 0) | (flips != sign[j] * sign[k])]]] = True
+    sign[broken[block]] = 0.0
+    return np.array(m, dtype=complex), sign if sign.any() else None, block
 
 
 def _split(root) -> list:
@@ -535,16 +543,16 @@ def _split(root) -> list:
 
 
 def _factorize(A, exact_norm: bool, sign, exponent: int) -> tuple:
-    """One ``geev`` of A: (E, L, R) sorted by (Re, Im), ||A||₂ (or, unless
-    ``exact_norm``, its lower bound ``_norm_lower_bound``), the largest
-    right and left residual norms, inf or NaN where they overflow, and each
-    geev pair's overlap <L_i|R_i> and condition number κ_i.
+    """One ``geev`` of a block A: (E, L, R) sorted by (Re, Im), ||A||₂
+    (or, unless ``exact_norm``, its lower bound ``_norm_lower_bound``), the
+    largest right and left residual norms, inf or NaN where they overflow,
+    and each geev pair's overlap <L_i|R_i> and condition number κ_i.
 
-    With A's transposition signature Aᵀ = J·A·J, J = diag(sign), the
-    ``geev`` is right-only (``np.linalg.eig``): <L_i| = (J·R_i)ᵀ solves
-    <L_i|A = E_i<L_i|, since Aᵀ·J·R_i = J·A·R_i = E_i·J·R_i. L is then
-    None, left for ``_left`` to form, and R alone gives the overlap
-    Σ_k J_k·R_ki² and ||L_i|| = ||R_i||. With sign None,
+    With the block's own transposition signature Aᵀ = J·A·J, J =
+    diag(sign), the ``geev`` is right-only (``np.linalg.eig``): <L_i| =
+    (J·R_i)ᵀ solves <L_i|A = E_i<L_i|, since Aᵀ·J·R_i = J·A·R_i =
+    E_i·J·R_i. L is then None, left for ``_left`` to form, and R alone
+    gives the overlap Σ_k J_k·R_ki² and ||L_i|| = ||R_i||. With sign None,
     ``scipy.linalg.eig`` back-transforms both sides.
 
     A nonzero ``exponent`` e factorizes 2^−e·A instead; E, the norm and
@@ -649,21 +657,6 @@ def _places(blocks, order) -> tuple:
     starts = np.repeat(np.cumsum([0, *sizes[:-1]]), sizes)
     return (np.repeat(np.arange(len(blocks)), sizes)[order],
             (np.arange(len(order)) - starts)[order])
-
-
-def _columns(blocks, places, members, dtype, pick) -> np.ndarray:
-    """``_assemble(blocks, order, vectors)[:, members]`` without the n×n
-    array, in the same memory order as that slice: ``pick(b, cols)`` gives
-    columns ``cols`` of block b's vectors, ``places`` is
-    ``_places(blocks, order)``, or None for one block."""
-    if places is None:
-        return pick(0, members)
-    owner, column = places[0][members], places[1][members]
-    out = np.zeros((len(places[0]), len(members)), dtype, order="F")
-    for b in dict.fromkeys(owner.tolist()):
-        mine = np.flatnonzero(owner == b)
-        out[blocks[b][:, None], mine] = pick(b, column[mine])
-    return out
 
 
 def _matmul(A, X) -> np.ndarray:

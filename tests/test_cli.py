@@ -193,12 +193,13 @@ def test_sweep_reports_the_eigendecompose_defect_verdict(capsys, monkeypatch):
 
 def test_spectrum_and_sweep_never_build_the_n_by_n_bases(capsys, monkeypatch):
     # both report eigenvalues, residuals and defect verdicts, which
-    # eigendecompose has before its deferred completion: the n×n bases and
-    # the overlap solves on them wait for a read that never comes
+    # eigendecompose has before its deferred completion: the solves that
+    # complete each block's L and the n×n bases wait for a read that never
+    # comes
     from biortho import spectral
 
     calls = []
-    for name in ("_assemble", "_separate_levels"):
+    for name in ("_assemble", "_separate_block"):
         monkeypatch.setattr(spectral, name, lambda *args, _f=getattr(spectral, name), _n=name:
                             calls.append(_n) or _f(*args))
     spectrum = ("spectrum", "--model", "pu", "--truncation", "20,20")
@@ -217,7 +218,9 @@ def test_spectrum_and_sweep_never_build_the_n_by_n_bases(capsys, monkeypatch):
     monkeypatch.setattr(cli, "eigendecompose", completed)
     code, eager = run_cli(capsys, *spectrum)
     assert code == 0
-    assert calls == ["_assemble", "_assemble", "_separate_levels"]
+    # each parity sector is completed on its own arrays, then both bases
+    # are assembled
+    assert calls == ["_separate_block", "_separate_block", "_assemble", "_assemble"]
     assert eager == lazy
 
 

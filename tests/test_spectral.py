@@ -610,10 +610,19 @@ def signed_patterns(draw):
 @given(signed_patterns())
 @settings(max_examples=300, deadline=None)
 def test_pattern_walk_finds_the_transposition_signature(H):
+    # per block: J exists there exactly when sign is nonzero there, and then
+    # Hᵀ = J·H·J on that block; None only when no block has a J
     sign = _pattern_walk(H)[1]
-    assert (sign is not None) == has_signature(H)
-    if sign is not None:
-        assert np.array_equal(H.T, sign[:, None] * H * sign[None, :])
+    signed = []
+    for idx in _blocks(H):
+        block = H[np.ix_(idx, idx)]
+        J = np.zeros(len(idx)) if sign is None else sign[idx]
+        assert np.all(np.abs(J) == 1) or not J.any()
+        signed.append(bool(J.any()))
+        assert signed[-1] == has_signature(block)
+        if signed[-1]:
+            assert np.array_equal(block.T, J[:, None] * block * J[None, :])
+    assert (sign is None) == (not any(signed))
 
 
 def test_convergence_error_partial_holds_vectors_of_h():
@@ -890,6 +899,27 @@ def _mixed_blocks() -> np.ndarray:
     rng = np.random.default_rng(17)
     S = rng.standard_normal((80, 80))
     return scipy.linalg.block_diag(S + S.T, rng.standard_normal((80, 80)))
+
+
+def test_each_block_keeps_its_own_signature(monkeypatch):
+    # a J·S block beside a one-sided block (upper triangular, distinct
+    # diagonal) and a general one: only the first has a J, and only its
+    # geev is right-only
+    rng = np.random.default_rng(22)
+    S = rng.standard_normal((40, 40))
+    one_sided = np.triu(rng.standard_normal((6, 6)), 1) + np.diag(np.arange(1.0, 7.0))
+    H = scipy.linalg.block_diag(rng.choice([-1.0, 1.0], 40)[:, None] * (S + S.T),
+                                one_sided, rng.standard_normal((30, 30)))
+    blocks = _blocks(H)
+    sign = _pattern_walk(H)[1]
+    assert [len(idx) for idx in blocks] == [40, 6, 30]
+    assert [bool(sign[idx].all()) for idx in blocks] == [True, False, False]
+    assert [bool(sign[idx].any()) for idx in blocks] == [True, False, False]
+    routes = _geev_routes(monkeypatch)
+    system = eigendecompose(H)
+    assert sorted(routes) == ["right-only", "two-sided", "two-sided"]
+    assert system.is_diagonalizable
+    np.testing.assert_allclose(system.overlap_matrix(), np.eye(76), rtol=0, atol=1e-10)
 
 
 CONCURRENT_CASES = {
