@@ -357,19 +357,18 @@ def build_c_operator(system: BiorthogonalSystem, pt: AntilinearOp) -> np.ndarray
     n = len(evals)
     scale = max(np.max(np.abs(evals)), 1.0)
 
-    signs = np.zeros(n)
-    real_mask = np.abs(evals.imag) < _relative_radius(evals)
-    for i in np.nonzero(real_mask)[0]:
-        r = R[:, i]
-        pt_norm = pt(r).T @ r        # bilinear: invariant under r -> e^{ia} r
-        if abs(pt_norm) < PT_NORM_FLOOR * np.vdot(r, r).real:
-            raise SignAmbiguityError(
-                f"PT norm of eigenvalue {evals[i]:.6g} vanishes within tolerance"
-            )
-        signs[i] = np.sign(pt_norm.real)
-
-    for i in np.nonzero(~real_mask)[0]:
-        signs[i] = 1.0 if evals[i].imag > 0 else -1.0
+    signs = np.where(evals.imag > 0, 1.0, -1.0)
+    real = np.flatnonzero(np.abs(evals.imag) < _relative_radius(evals))
+    R_real = R[:, real]
+    # bilinear: invariant under r -> e^{ia} r
+    pt_norms = np.sum(pt(R_real) * R_real, axis=0)
+    vanishing = np.abs(pt_norms) < PT_NORM_FLOOR * np.vecdot(R_real, R_real, axis=0).real
+    if vanishing.any():
+        raise SignAmbiguityError(
+            f"PT norm of eigenvalue {evals[real[vanishing.argmax()]]:.6g} "
+            "vanishes within tolerance"
+        )
+    signs[real] = np.sign(pt_norms.real)
 
     C = (R * signs) @ system.left_vectors.conj().T
 

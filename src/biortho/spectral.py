@@ -23,7 +23,7 @@ the only place scipy.linalg is imported here, so a process that factorizes
 only blocks with a signature never loads it. The Schur form both sides
 share cancels R's rounding out of the overlaps <L_j|R_i> of distinct
 levels; J·R carries it in, up to 5e-8 between PU's close levels of large
-κ, so ``_separate_block`` clears every such overlap above OVERLAP_FLOOR.
+κ, until the completion's solve (below) clears it.
 
 Real ``dgeev`` runs whenever H is real up to a diagonal gauge
 D = diag(d), d in {1, i}ⁿ: on entrywise-real H (D = I), and on H with a
@@ -69,23 +69,24 @@ each cluster of eigenvalues within DEFECT_CLUSTER_TOL of each other also
 gets a rank test, up to DEFECT_SCAN_MAX_DIM. ``is_diagonalizable`` is the
 one verdict on defectiveness, read by the CLI and every library consumer.
 
-Normalization, defect detection and the biorthogonalization of degenerate
-clusters live here, in two halves. ``eigendecompose`` returns with the
-eigenvalues, both residuals, the κ_i of the unit geev vectors (from R
-alone on the right-only route) and the defect verdicts, clusters
-included: a cluster's overlap matrix, whose condition decides whether it
-can be biorthogonalized, is block-diagonal, one part per block it spans,
-since overlaps across blocks are exactly zero. That is all ``spectrum``
-and ``sweep`` report. The first read of ``right_vectors``,
-``left_vectors`` or ``condition_numbers`` (``_Completion``) completes each
-block's L on the block's own arrays; only then do two ``_assemble`` calls
-build the n×n bases (each block's columns in their sorted positions, zero
-elsewhere), and the final ``condition_numbers`` are read off them: the
-same code on the same data, so the same bits, whichever is read first.
-On one BLAS thread and 2 CPUs the completion takes 10 ms at PU 20,20 (the
-rest of ``eigendecompose`` 27 ms) and 0.66 s at PU 40,40 (the rest
-0.64 s), which ``spectrum`` does not pay. The completion runs once, under
-a lock, since it scales L in place.
+Normalization, defect detection and biorthonormalization live here, in
+two halves. ``eigendecompose`` returns with the eigenvalues, both
+residuals, the κ_i of the unit geev vectors (from R alone on the
+right-only route) and the defect verdicts, clusters included: a cluster's
+overlap matrix, whose condition decides whether the completion can invert
+it, is block-diagonal, one part per block it spans, since overlaps across
+blocks are exactly zero. That is all ``spectrum`` and ``sweep`` report.
+The first read of ``right_vectors``, ``left_vectors`` or
+``condition_numbers`` (``_Completion``) completes each block on its own
+arrays: its L outside the defective indices becomes the dual basis of
+its R, in one solve per block on either route. Only then do two
+``_assemble`` calls build the n×n bases (each block's columns in their
+sorted positions, zero elsewhere), and the final ``condition_numbers``
+are read off them: the same code on the same data, so the same bits,
+whichever is read first. On one BLAS thread and 2 CPUs the completion
+takes 16 ms at PU 20,20 and 0.60 s at PU 40,40, which ``spectrum`` does
+not pay: the solve is O(n³) per block. The completion runs once, under a
+lock, since it scales L in place.
 """
 
 from __future__ import annotations
@@ -117,7 +118,8 @@ DEFECT_SCAN_MAX_DIM = 64
 # lower bound on ||H||₂ after this many steps (``_norm_lower_bound``)
 NORM_STEPS = 16
 # an index whose condition number exceeds 1/OVERLAP_FLOOR is defective (for
-# the unit geev vectors: |<L_i|R_i>| below the floor)
+# the unit geev vectors: |<L_i|R_i>| below the floor), and its L keeps its
+# geev scale
 OVERLAP_FLOOR = 1e-10
 # ``_concurrently`` starts a worker only for two or more tasks of at least
 # this dimension: below it, the GIL hand-offs between the threads cost more
@@ -245,13 +247,14 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
     n <= DEFECT_SCAN_MAX_DIM, every member of a cluster (eigenvalues within
     DEFECT_CLUSTER_TOL·max(1, max|E|)) whose geometric multiplicity
     n − rank(H − Ē·I) (rank rule of ``_cluster_defect``) is below its
-    size, with its DefectReport in ``defects``. Every other cluster free of
-    flagged indices is re-biorthogonalized, one solve per block it spans,
-    and on each right-only block so are the overlaps of distinct levels
-    (``_separate_block``). ``condition_numbers`` are those of the vectors
-    returned. Those vectors, the solves and ``condition_numbers`` are made
-    on the first read of ``right_vectors``, ``left_vectors`` or
-    ``condition_numbers`` (``_complete``); every verdict is there before.
+    size, with its DefectReport in ``defects``, and so is every cluster
+    free of flagged indices whose overlap matrix is too ill-conditioned to
+    invert. On each block the left vectors of the other indices are the
+    dual basis of the right ones, <L_j|R_i> = δ_ij, from one solve per
+    block. ``condition_numbers`` are those of the vectors returned. Those
+    vectors, their solves and ``condition_numbers`` are made on the first
+    read of ``right_vectors``, ``left_vectors`` or ``condition_numbers``
+    (``_complete``); every verdict is there before.
     """
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -306,13 +309,11 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
     # a cluster whose geometric multiplicity falls short of its size is a
     # Jordan block, however well conditioned geev's vectors look. geev
     # back-transforms each vector on its own, so inside any other cluster
-    # the two bases need not be biorthogonal: the completion solves the
-    # small overlap system, except in clusters holding a flagged index; a
-    # cluster too ill-conditioned to solve counts as defective
+    # the two bases need not be biorthogonal, and the completion's solve
+    # must invert the cluster's overlap matrix: a cluster free of flagged
+    # indices that is too ill-conditioned for that counts as defective
     defective = set(np.flatnonzero(flagged).tolist())
     defects = []
-    # per block: (columns, overlap matrix) of each cluster it solves
-    solves = [[] for _ in blocks]
     places = owner, column = _places(blocks, order)
     for cluster in _clusters(evals, _relative_radius(evals, DEFECT_CLUSTER_TOL)):
         if n <= DEFECT_SCAN_MAX_DIM:
@@ -331,19 +332,16 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
         for b in np.unique(owner[cluster]):
             cols = column[cluster[owner[cluster] == b]]
             L = _left(lvecs[b], rvecs[b], signs[b], cols) / np.conj(overlaps[b][cols])
-            shares.append((b, cols, L.conj().T @ rvecs[b][:, cols]))
-        sigma = np.concatenate([np.linalg.svd(O, compute_uv=False) for _, _, O in shares])
-        if sigma.max() < 1e8 * sigma.min():
-            for b, cols, O in shares:
-                solves[b].append((cols, O))
-        else:
+            shares.append(np.linalg.svd(L.conj().T @ rvecs[b][:, cols], compute_uv=False))
+        sigma = np.concatenate(shares)
+        if not sigma.max() < 1e8 * sigma.min():
             defective.update(cluster.tolist())
 
     # the n×n bases wait for their first read: spectrum and sweep never make
     # one
     pending = _Completion(functools.partial(
         _complete, blocks, order, places, odd, signs, lvecs, rvecs, overlaps, kappas,
-        solves, defective))
+        defective))
     return BiorthogonalSystem(
         matrix=H,
         eigenvalues=evals,
@@ -358,13 +356,22 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
 
 
 def _complete(blocks, order, places, odd, signs, lvecs, rvecs, overlaps, kappas,
-              solves, defective) -> tuple:
+              defective) -> tuple:
     """The deferred half of ``eigendecompose``: the n×n (R, L, κ) from each
     block's geev vectors (L None where it is conj(J·R)), their overlaps
-    <L_i|R_i> and κ_i, ``_places(blocks, order)`` and each block's share
-    of the cluster solves. Each block's L is scaled (its geev L in place),
-    solved and separated on its own arrays, the blocks in turn: a read may
-    come from a ``_concurrently`` task, which must not call it again."""
+    <L_i|R_i> and κ_i and ``_places(blocks, order)``. Each block's L is
+    formed and scaled (its geev L in place) on its own arrays, the blocks
+    in turn: a read may come from a ``_concurrently`` task, which must not
+    call it again. Its columns outside the defective indices then become
+    the dual basis of R's, L·O⁻ᴴ for their overlap matrix O = Lᴴ·R, in
+    one solve per block.
+
+    That solve biorthonormalizes each degenerate cluster, and on the
+    right-only route it also clears the overlaps <L_j|R_i> of distinct
+    levels that L = conj(J·R) carries from R's rounding,
+    (E_i − E_j)·<L_j|R_i> = <s_j|R_i> − <L_j|r_i> for the residuals s, r,
+    which a two-sided ``geev`` cancels through the Schur form both sides
+    share."""
     owner, column = places
     kept = np.ones(len(order), dtype=bool)
     kept[sorted(defective)] = False
@@ -373,14 +380,15 @@ def _complete(blocks, order, places, odd, signs, lvecs, rvecs, overlaps, kappas,
         L = _left(L, R, s)
         scaled = ~(k > 1.0 / OVERLAP_FLOOR)
         L[:, scaled] /= np.conj(overlap[scaled])
-        for cols, O in solves[b]:
-            L[:, cols] = L[:, cols] @ np.linalg.inv(O).conj().T
-        if s is not None:  # the right-only route
-            _separate_block(L, R, column[kept & (owner == b)])
+        cols = column[kept & (owner == b)]
+        # the rows of Lᴴ, conjugated in the copy that indexing makes
+        Lh = L[:, cols].T
+        O = np.conj(Lh, out=Lh) @ R[:, cols]
+        L[:, cols] = np.linalg.solve(O, Lh).conj().T
         lefts.append(L)
     lvecs, rvecs = _assemble(blocks, order, lefts), _assemble(blocks, order, rvecs)
-    # κ of the vectors returned: in a re-biorthogonalized cluster, that of
-    # the dual basis, which R alone fixes, whichever route gave L. vecdot
+    # κ of the vectors returned: on the kept columns, that of the dual
+    # basis, which R alone fixes, whichever route gave L. vecdot
     # conjugates its first argument without an n×n copy
     with np.errstate(divide="ignore", over="ignore"):
         kappa = np.sqrt(np.vecdot(lvecs, lvecs, axis=0).real
@@ -393,35 +401,6 @@ def _left(L, R, sign, cols=slice(None)) -> np.ndarray:
     """Columns ``cols`` of a block's left vectors: geev's L, or conj(J·R)
     where L is None."""
     return np.conj(sign[:, None] * R[:, cols]) if L is None else L[:, cols]
-
-
-def _separate_block(L, R, cols) -> None:
-    """Clear the overlaps <L_j|R_i> of distinct levels that L = conj(J·R)
-    leaves above OVERLAP_FLOOR, in place, among the columns ``cols`` of
-    one block's L and R (its columns outside the defective indices).
-
-    Such L carry R's own rounding into them: (E_i − E_j)·<L_j|R_i> =
-    <s_j|R_i> − <L_j|r_i> for the residuals s, r, large for close levels
-    of large κ, where a two-sided ``geev`` cancels it through the Schur
-    form both sides share. With O = L^H·R (1 on the diagonal, the clusters
-    already re-biorthogonalized) and C its diagonal and its entries above
-    the floor, L·C⁻ᴴ has C⁻¹·O for its overlaps: within the floor of the
-    identity to first order. Only columns with such an entry take part,
-    and only while C is diagonally dominant, which keeps it safely
-    invertible (Gershgorin)."""
-    # the rows of L^H, conjugated in the copy that indexing makes
-    Lh = L[:, cols].T
-    O = np.conj(Lh, out=Lh) @ R[:, cols]
-    linked = np.abs(O) > OVERLAP_FLOOR
-    np.fill_diagonal(linked, False)
-    part = linked.any(axis=0) | linked.any(axis=1)
-    if not part.any():
-        return
-    C = np.where(linked[np.ix_(part, part)], O[np.ix_(part, part)], 0.0)
-    # off its diagonal (still 0 here) each row of C sums below the 1 on it
-    if np.abs(C).sum(axis=1).max() < 1.0:
-        np.fill_diagonal(C, np.diagonal(O)[part])
-        L[:, cols[part]] = np.linalg.solve(C, Lh[part]).conj().T
 
 
 def _real_form(H) -> tuple:

@@ -199,9 +199,8 @@ def test_spectrum_and_sweep_never_build_the_n_by_n_bases(capsys, monkeypatch):
     from biortho import spectral
 
     calls = []
-    for name in ("_assemble", "_separate_block"):
-        monkeypatch.setattr(spectral, name, lambda *args, _f=getattr(spectral, name), _n=name:
-                            calls.append(_n) or _f(*args))
+    monkeypatch.setattr(spectral, "_assemble", lambda *args, _f=spectral._assemble:
+                        calls.append("_assemble") or _f(*args))
     spectrum = ("spectrum", "--model", "pu", "--truncation", "20,20")
     code, lazy = run_cli(capsys, *spectrum)
     assert code == 0
@@ -218,9 +217,9 @@ def test_spectrum_and_sweep_never_build_the_n_by_n_bases(capsys, monkeypatch):
     monkeypatch.setattr(cli, "eigendecompose", completed)
     code, eager = run_cli(capsys, *spectrum)
     assert code == 0
-    # each parity sector is completed on its own arrays, then both bases
-    # are assembled
-    assert calls == ["_separate_block", "_separate_block", "_assemble", "_assemble"]
+    # both bases are assembled once, after each parity sector is completed
+    # on its own arrays
+    assert calls == ["_assemble", "_assemble"]
     assert eager == lazy
 
 

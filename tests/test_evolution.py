@@ -114,6 +114,19 @@ def test_overlap_trace_drift_across_model_suite():
         assert trace.method_agreement < 1e-9
 
 
+def test_right_only_pu_overlaps_vanish_below_the_noise_floor():
+    # L = conj(J·R) carries R's rounding into the overlaps of distinct
+    # levels; the dual-basis solve of each parity sector clears them, so
+    # no forbidden overlap survives the floor to drift
+    pu_12 = eigendecompose(pu_hamiltonian_fock(12, 12, PUParams(1.0, 1.0, 2.0)))
+    pu_16 = eigendecompose(pu_hamiltonian_fock(16, 16, PUParams(1.0, 1.0, 2.0)))
+    pair = eigendecompose(pu_hamiltonian_fock(16, 16, PUParams.from_alpha_beta(1.0, 1.0, 0.3)))
+    for system in (pu_12, pair):
+        assert overlap_trace(system, t_max=10.0, n_times=101).max_drift == 0.0
+    for system in (pu_12, pu_16):
+        assert selection_rule_check(system).max_forbidden_overlap < 1e-12
+
+
 def test_overlap_trace_switches_to_closed_form_for_strong_growth():
     # rate ~ 9.95 so the literal product is only trusted up to t ~ 0.8
     system = eigendecompose(dimer_hamiltonian(10.0, 1.0))

@@ -189,13 +189,26 @@ def test_repeated_eigenvalues_nonnormal_biorthonormal(kind):
     assert np.linalg.norm(system.reconstruct() - H) < 1e-10 * np.linalg.norm(H)
 
 
-def test_clean_cluster_biorthonormal_beside_defective_block():
-    # a Jordan block elsewhere must not stop the semisimple cluster fix
-    H = scipy.linalg.block_diag([[0.0, 1.0], [0.0, 0.0]], _degenerate_nonnormal("real"))
-    system = eigendecompose(H)
-    assert system.defective_indices == [0, 1]
-    G = system.overlap_matrix()
-    assert np.max(np.abs(G[2:, 2:] - np.eye(6))) < 1e-10
+def test_clean_cluster_biorthonormal_beside_defective_block(monkeypatch):
+    # a Jordan block elsewhere must not stop the semisimple cluster fix;
+    # with a J·S block beside them, its right-only L is completed by the
+    # same one solve per block as the two-sided ones
+    rng = np.random.default_rng(23)
+    S = rng.standard_normal((10, 10))
+    signed = rng.choice([-1.0, 1.0], 10)[:, None] * (S + S.T)
+    blocks = [[[0.0, 1.0], [0.0, 0.0]], _degenerate_nonnormal("real")]
+    routes = _geev_routes(monkeypatch)
+    for H, route in ((scipy.linalg.block_diag(*blocks), []),
+                     (scipy.linalg.block_diag(*blocks, signed), ["right-only"])):
+        routes.clear()
+        system = eigendecompose(H)
+        assert sorted(routes) == route + ["two-sided"] * 2
+        jordan = np.flatnonzero(np.abs(system.eigenvalues) < 1e-6)
+        assert len(jordan) == 2
+        assert system.defective_indices == jordan.tolist()
+        kept = np.setdiff1d(np.arange(len(H)), jordan)
+        G = system.overlap_matrix()[np.ix_(kept, kept)]
+        assert np.max(np.abs(G - np.eye(len(kept)))) < 1e-10
 
 
 @pytest.mark.parametrize("seed", range(6))
