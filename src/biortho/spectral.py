@@ -66,8 +66,9 @@ Pseudospectra*, 2005): 1 for a normal matrix, large for a non-normal one,
 infinite at a defective eigenvalue. A Jordan block can keep every κ_i
 finite (the 4×4 Pais-Uhlenbeck matrix at equal frequencies reads 7.6e7), so
 each cluster of eigenvalues within DEFECT_CLUSTER_TOL of each other also
-gets a rank test, up to DEFECT_SCAN_MAX_DIM. ``is_diagonalizable`` is the
-one verdict on defectiveness, read by the CLI and every library consumer.
+gets a rank test, on each block up to DEFECT_SCAN_MAX_DIM that holds its
+members, whatever the dimension of H. ``is_diagonalizable`` is the one
+verdict on defectiveness, read by the CLI and every library consumer.
 
 Normalization, defect detection and biorthonormalization live here, in
 two halves. ``eigendecompose`` returns with the eigenvalues, both
@@ -106,17 +107,16 @@ DEFAULT_TOL = 1e-9
 # max(1, max|E|): rounding moves an eigenvalue in proportion to ||H||
 CONJUGATION_TOL = 1e-8
 # eigenvalues within DEFECT_CLUSTER_TOL·max(1, max|E|) of each other form a
-# cluster; singular values of H − Ē·I above DEFECT_RANK_TOL·||H|| and above
-# twice the cluster's spread count towards the rank that decides its
-# geometric multiplicity
+# cluster; singular values of B − Ē·I, B a block holding its members, above
+# DEFECT_RANK_TOL·||H|| and above twice the cluster's spread count towards
+# the rank that decides its geometric multiplicity
 DEFECT_CLUSTER_TOL = 1e-6
 DEFECT_RANK_TOL = 1e-10
-# the rank test (one SVD per cluster) is only trusted, and affordable, on
-# small matrices; larger ones rely on the condition-number flag alone
+# the rank test (one SVD per block a cluster spans) and the exact ||A||₂ of
+# the residual gate are only trusted, and affordable, on small blocks;
+# larger ones rely on the condition-number flag alone, and their gate on a
+# lower bound on ||A||₂ (``_factorize``)
 DEFECT_SCAN_MAX_DIM = 64
-# above DEFECT_SCAN_MAX_DIM the residual gate's scale is a power-iteration
-# lower bound on ||H||₂ after this many steps (``_norm_lower_bound``)
-NORM_STEPS = 16
 # an index whose condition number exceeds 1/OVERLAP_FLOOR is defective (for
 # the unit geev vectors: |<L_i|R_i>| below the floor), and its L keeps its
 # geev scale
@@ -240,21 +240,23 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
     right-only on each block with a transposition signature (``_factorize``).
 
     Raises ConvergenceError if the QR iteration fails or the residuals of
-    any block exceed tol·||H||₂ (the largest block norm; above
-    DEFECT_SCAN_MAX_DIM a lower bound on it, ``_norm_lower_bound``).
-    Defects are flagged, not fatal: an index is defective when the κ_i of
-    its unit geev vectors exceeds 1/OVERLAP_FLOOR, and, for
-    n <= DEFECT_SCAN_MAX_DIM, every member of a cluster (eigenvalues within
-    DEFECT_CLUSTER_TOL·max(1, max|E|)) whose geometric multiplicity
-    n − rank(H − Ē·I) (rank rule of ``_cluster_defect``) is below its
-    size, with its DefectReport in ``defects``, and so is every cluster
-    free of flagged indices whose overlap matrix is too ill-conditioned to
-    invert. On each block the left vectors of the other indices are the
-    dual basis of the right ones, <L_j|R_i> = δ_ij, from one solve per
-    block. ``condition_numbers`` are those of the vectors returned. Those
-    vectors, their solves and ``condition_numbers`` are made on the first
-    read of ``right_vectors``, ``left_vectors`` or ``condition_numbers``
-    (``_complete``); every verdict is there before.
+    any block exceed tol·||H||₂ (the largest block norm; a lower bound on
+    it for blocks above DEFECT_SCAN_MAX_DIM, ``_factorize``). Defects are
+    flagged, not fatal: an index is defective when the κ_i of its unit
+    geev vectors exceeds 1/OVERLAP_FLOOR, and so is every member of a
+    cluster (eigenvalues within DEFECT_CLUSTER_TOL·max(1, max|E|)) whose
+    geometric multiplicity, summed over the blocks of at most
+    DEFECT_SCAN_MAX_DIM that hold its members (m − rank(B − Ē·I) for a
+    block B of dimension m, rank rule of ``_cluster_defect``), is below
+    the number of its members there, with its DefectReport in
+    ``defects``. So is every cluster free of flagged indices whose overlap
+    matrix is too ill-conditioned to invert. On each block the left
+    vectors of the other indices are the dual basis of the right ones,
+    <L_j|R_i> = δ_ij, from one solve per block. ``condition_numbers`` are
+    those of the vectors returned. Those vectors, their solves and
+    ``condition_numbers`` are made on the first read of ``right_vectors``,
+    ``left_vectors`` or ``condition_numbers`` (``_complete``); every
+    verdict is there before.
     """
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -274,13 +276,12 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
     # A = D⁻¹·H·D; each block of its nonzero pattern is factorized on its
     # own, and one block is A itself, not a copy
     A, odd, blocks, sign = _real_form(H)
-    n = H.shape[0]
     # sign is 0 throughout a block without a signature
     signs = [None if sign is None or not sign[idx[0]] else sign[idx] for idx in blocks]
     try:
         parts = _concurrently(
             [lambda idx=idx, s=s: _factorize(A if len(blocks) == 1 else A[np.ix_(idx, idx)],
-                                              n <= DEFECT_SCAN_MAX_DIM, s, exponent)
+                                              s, exponent)
              for idx, s in zip(blocks, signs)],
             # scipy's two-sided geev holds the GIL: a second thread cannot
             # overlap it
@@ -316,13 +317,12 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
     defects = []
     places = owner, column = _places(blocks, order)
     for cluster in _clusters(evals, _relative_radius(evals, DEFECT_CLUSTER_TOL)):
-        if n <= DEFECT_SCAN_MAX_DIM:
-            report = _cluster_defect(A, complex(np.mean(evals[cluster])),
-                                     evals[cluster], scale)
-            if report.is_defective:
-                defects.append(report)
-                defective.update(cluster.tolist())
-                continue
+        report = _cluster_defect(A, blocks, owner[cluster], complex(np.mean(evals[cluster])),
+                                 evals[cluster], scale)
+        if report.is_defective:
+            defects.append(report)
+            defective.update(cluster.tolist())
+            continue
         if flagged[cluster].any():
             continue
         # overlaps across blocks are exactly zero, so the cluster's overlap
@@ -521,11 +521,17 @@ def _split(root) -> list:
     return np.split(order, np.flatnonzero(np.diff(root[order])) + 1)
 
 
-def _factorize(A, exact_norm: bool, sign, exponent: int) -> tuple:
-    """One ``geev`` of a block A: (E, L, R) sorted by (Re, Im), ||A||₂
-    (or, unless ``exact_norm``, its lower bound ``_norm_lower_bound``), the
-    largest right and left residual norms, inf or NaN where they overflow,
-    and each geev pair's overlap <L_i|R_i> and condition number κ_i.
+def _factorize(A, sign, exponent: int) -> tuple:
+    """One ``geev`` of a block A: (E, L, R) sorted by (Re, Im), the
+    residual gate's scale, the largest right and left residual norms, inf
+    or NaN where they overflow, and each geev pair's overlap <L_i|R_i> and
+    condition number κ_i.
+
+    The scale is ||A||₂ up to DEFECT_SCAN_MAX_DIM. Above it, where the
+    exact norm is a full SVD, it is the larger of A's largest column norm
+    and max|E|, two lower bounds on ||A||₂ that can only make the gate
+    stricter: 0.94 of ||A||₂ or more on the model matrices, about 0.5 on
+    the benchmark's non-normal ones.
 
     With the block's own transposition signature Aᵀ = J·A·J, J =
     diag(sign), the ``geev`` is right-only (``np.linalg.eig``): <L_i| =
@@ -534,8 +540,10 @@ def _factorize(A, exact_norm: bool, sign, exponent: int) -> tuple:
     gives the overlap Σ_k J_k·R_ki² and ||L_i|| = ||R_i||. With sign None,
     ``scipy.linalg.eig`` back-transforms both sides.
 
-    A nonzero ``exponent`` e factorizes 2^−e·A instead; E, the norm and
-    the residuals are scaled back by 2^e, exactly."""
+    A nonzero ``exponent`` e factorizes 2^−e·A instead; E, the scale and
+    the residuals are scaled back by 2^e, exactly. The scale is inf there
+    wherever ||A||_F, an upper bound on ||A||₂, overflows: a bound that
+    stays finite must not let the gate pass a block whose norm may not."""
     if exponent:
         A = _ldexp(A, -exponent)
     if sign is None:
@@ -566,7 +574,13 @@ def _factorize(A, exact_norm: bool, sign, exponent: int) -> tuple:
         # A^H·L − L·conj(E) is conj(J·(A·R − R·E)) on the right-only route
         left_res = right_res if sign is not None else float(np.max(np.linalg.norm(
             _matmul(A.conj().T, lvecs) - lvecs * np.conj(evals), axis=0)))
-        norm = np.linalg.norm(A, 2) if exact_norm else _norm_lower_bound(A)
+        if A.shape[0] <= DEFECT_SCAN_MAX_DIM:
+            norm = np.linalg.norm(A, 2)
+        else:
+            columns = np.linalg.norm(A, axis=0)
+            norm = max(columns.max(), np.abs(evals).max())
+            if exponent and np.isinf(np.ldexp(np.linalg.norm(columns), exponent)):
+                norm = np.inf
         if exponent:
             evals = _ldexp(evals, exponent)
             norm, right_res, left_res = (float(np.ldexp(x, exponent))
@@ -580,35 +594,6 @@ def _ldexp(X, exponent: int) -> np.ndarray:
     if np.iscomplexobj(X):
         return np.ldexp(np.ascontiguousarray(X).view(float), exponent).view(complex)
     return np.ldexp(X, exponent)
-
-
-def _norm_lower_bound(A) -> float:
-    """||A·x|| for the unit x that NORM_STEPS steps of power iteration on
-    A^H·A reach from the all-ones vector, or A's largest column norm if
-    larger (zero row sums give A·x = 0), less their rounding: a lower bound
-    on ||A||₂ in O(n²) per step, where the exact norm is a full SVD.
-    Deterministic, and 0.98 of ||A||₂ or more on the model matrices.
-
-    The steps square A's scale, so they run on 2^−e·A, its largest entry
-    in [1/2, 1), and the bound is scaled back by 2^e: exact, so the bits
-    are those of A itself wherever its steps neither over- nor underflow."""
-    exponent = int(np.frexp(np.abs(A).max())[1])
-    # not ``_ldexp``, whose calls are the prescale of ``_factorize``
-    if np.iscomplexobj(A):
-        A = np.ldexp(np.ascontiguousarray(A).view(float), -exponent).view(complex)
-    else:
-        A = np.ldexp(A, -exponent)
-    n = A.shape[1]
-    x = np.full(n, n ** -0.5)
-    for _ in range(NORM_STEPS):
-        x = np.conj(np.conj(A @ x) @ A)
-        size = np.linalg.norm(x)
-        if not size:
-            break
-        x /= size
-    # the products and norms round by a few n·u each
-    bound = max(np.linalg.norm(A @ x), np.linalg.norm(A, axis=0).max())
-    return float(np.ldexp(float(bound) * (1.0 - 4 * (n + 1) * np.finfo(float).eps), exponent))
 
 
 def _assemble(blocks, order, vectors) -> np.ndarray:
@@ -860,15 +845,27 @@ class DefectReport:
         return self.geometric_multiplicity < self.algebraic_multiplicity
 
 
-def _cluster_defect(H, E: complex, members, scale: float) -> DefectReport:
-    """Multiplicities of the cluster ``members`` around E: algebraic is its
-    size, geometric n − rank(H − E·I). A singular value counts towards the
-    rank above DEFECT_RANK_TOL·scale (scale = max(||H||₂, 1)) and above
-    twice the spread max|E_i − E|: distinct eigenvalues of a normal H
-    leave singular values no larger than the spread, while a Jordan block
-    that rounding split by δ leaves one of order δ², far below it."""
-    n = H.shape[0]
+def _cluster_defect(A, blocks, owners, E: complex, members, scale: float) -> DefectReport:
+    """Multiplicities around E of the cluster ``members``, whose indices
+    lie in ``blocks[b]`` for b in ``owners``, counted on the blocks of at
+    most DEFECT_SCAN_MAX_DIM among them: algebraic is the number of its
+    members there, geometric the sum of each block B's nullity
+    m − rank(B − E·I); both 0 if it has no member in such a block.
+
+    A singular value counts towards a rank above DEFECT_RANK_TOL·scale
+    (scale = max(||A||₂, 1)) and above twice the whole cluster's spread
+    max|E_i − E|: distinct eigenvalues of a normal block leave singular
+    values no larger than the spread, while a Jordan block that rounding
+    split by δ leaves one of order δ², far below it."""
     spread = float(np.max(np.abs(members - E), initial=0.0))
-    sigma = np.linalg.svd(H - E * np.eye(n), compute_uv=False)
-    rank = int(np.sum(sigma > max(DEFECT_RANK_TOL * scale, 2 * spread)))
-    return DefectReport(E, len(members), n - rank)
+    floor = max(DEFECT_RANK_TOL * scale, 2 * spread)
+    algebraic = geometric = 0
+    for b, count in zip(*np.unique(owners, return_counts=True)):
+        m = len(blocks[b])
+        if m > DEFECT_SCAN_MAX_DIM:
+            continue
+        B = A if len(blocks) == 1 else A[np.ix_(blocks[b], blocks[b])]
+        sigma = np.linalg.svd(B - E * np.eye(m), compute_uv=False)
+        algebraic += int(count)
+        geometric += m - int(np.sum(sigma > floor))
+    return DefectReport(E, algebraic, geometric)
