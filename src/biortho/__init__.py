@@ -32,7 +32,6 @@ from .errors import (
     PropagatorRangeError,
     SignAmbiguityError,
     SingularOperatorError,
-    SizeBudgetError,
 )
 from .evolution import (
     EuclideanReality,

@@ -18,29 +18,24 @@ from .errors import (
     NoAntilinearSymmetryError,
     SignAmbiguityError,
     SingularOperatorError,
-    SizeBudgetError,
 )
 from .spectral import (
     BiorthogonalSystem,
-    _blocks,
+    _clusters,
     _pattern_walk,
     _relative_radius,
-    classify_spectrum,
-    eigendecompose,
 )
 
 SYMMETRY_TOL = 1e-10
 PT_NORM_FLOOR = 1e-10
 # build_c_operator's gate on |C² − 1| and |[C, H]|, in every regime
 C_OPERATOR_TOL = 1e-8
-# singular values below NULLSPACE_RTOL·σ_max span the intertwiner nullspace
+# eigenvalues of T within SCHUR_CLUSTER_TOL·max(1, max|E|) of each other, or
+# of the other's conjugate, share a diagonal block of the Schur route
+SCHUR_CLUSTER_TOL = np.finfo(float).eps ** (1 / 3)
+# singular values below NULLSPACE_RTOL·‖H‖_F span a diagonal block's
+# intertwiner nullspace on the Schur route
 NULLSPACE_RTOL = 1e-9
-# seeded random nullspace combinations tried after the deterministic scan
-N_RANDOM_CANDIDATES = 64
-# largest n²×n² intertwiner operator the nullspace fallback may build, in
-# bytes (its SVD factors take twice as much again): n = 63 fits, n = 64
-# does not
-NULLSPACE_MAX_BYTES = 256e6
 
 
 @dataclass(frozen=True)
@@ -157,23 +152,15 @@ def is_real(H) -> RealityReport:
     return RealityReport(is_real=max_imag == 0.0, max_imag=max_imag)
 
 
-def _nullspace(A: np.ndarray):
-    """Right nullspace basis of A via SVD (rows of Vh below the cutoff)."""
-    _, s, vh = np.linalg.svd(A)
-    cutoff = NULLSPACE_RTOL * (s[0] if len(s) and s[0] > 0 else 1.0)
-    rank = int(np.sum(s > cutoff))
-    return vh[rank:].conj().T
-
-
 def find_antilinear_symmetry(H, tol: float = 1e-8) -> AntilinearOp:
     """Construct an antilinear symmetry A = M∘K of H, if one exists.
 
-    Three routes, in order; the first M to pass both gates,
+    Two routes, in order; the first M to pass both gates,
     σ_min(M/‖M‖_F) ≥ 1e-8 and ``commutes_with`` residual ≤ ``tol``, is
     returned:
 
     1. Diagonal, O(nnz) after an O(n²) scan of H's nonzero pattern, with no
-       eigendecomposition. A diagonal M = diag(m) intertwines H exactly
+       factorization. A diagonal M = diag(m) intertwines H exactly
        when m_j/m_k = H_jk/conj(H_jk) on every nonzero entry, so each
        connected block of the pattern allows at most one m up to a phase;
        ``spectral._pattern_walk``, the walk that also gives
@@ -184,28 +171,22 @@ def find_antilinear_symmetry(H, tol: float = 1e-8) -> AntilinearOp:
        A 374, 1616 (2010)). An entrywise-real H (every imaginary part
        exactly 0, see ``is_real``) gives m ≡ 1 and plain conjugation K,
        M = I exactly.
-    2. Spectral, O(n³). The spectrum must be closed under conjugation by
-       the rule of ``classify_spectrum`` at ``tol``, relative to
-       max(1, max|E|) (otherwise NoAntilinearSymmetryError; the diagonal
-       route needs no such test, since its verified M proves closure). M
-       is written down from the biorthogonal eigensystem H = R·E·L†:
-       M = R[:, π]·diag(c)·Lᵀ, where π swaps the two members of each
-       conjugate pair and fixes real eigenvalues, so M·conj(R_i) =
-       c_i·R_π(i) and M·conj(H) = H·M for every nonzero c. The phases c_i
-       are those of the leading eigenvector of W = G ∘ G[π][:, π] with
-       G = R†R: if H has an antiunitary symmetry and a simple spectrum
-       they make M unitary (c = 1 can leave M nearly singular). Groups of
-       eigenvectors orthogonal to all the others (block-diagonal H, or H
-       with a unitary symmetry) leave W reducible; each connected block of
-       W takes the phases of its own leading eigenvector.
-    3. Nullspace, O(n⁶), when the eigensystem is defective (a Jordan block,
-       in any basis) or fails its residual check, or the spectral M fails
-       a gate (for example eigenvectors too non-normal to reach ``tol``):
-       M is picked from the nullspace of X -> H·X − X·conj(H) by a
-       deterministic scan that maximizes the smallest singular value, plus
-       ``N_RANDOM_CANDIDATES`` seeded random combinations.
-       ConditioningError if that fails too; SizeBudgetError if its
-       operator would exceed NULLSPACE_MAX_BYTES (from n = 64 on).
+    2. Schur, O(n³), with no eigenvector (Bartels & Stewart, CACM 15, 820
+       (1972)). From H = Q·T·Qᴴ, eigenvalues of T within
+       SCHUR_CLUSTER_TOL·max(1, max|E|) of each other or of each other's
+       conjugates are moved into one diagonal block (a k-fold Jordan block
+       splits by about eps^(1/k)), and conj(T) is reordered to P·T′·Pᴴ so
+       that each of its blocks holds the conjugates of T's block. The
+       spectrum must be closed under conjugation at that radius (otherwise
+       NoAntilinearSymmetryError; the diagonal route needs no such test,
+       since its verified M proves closure). H·M = M·conj(H) then reads
+       T·Z = Z·T′ for M = Q·Z·Pᴴ·Qᵀ, and Z is block upper triangular:
+       each diagonal block is the best-conditioned element of the
+       nullspace of X -> T_gg·X − X·T′_gg, times a unit phase taken along
+       the block's strongest coupling T_gh to an earlier block, which
+       leaves Z block diagonal and M unitary for an antiunitary symmetry;
+       the blocks above the diagonal follow by back-substitution with
+       ``ztrsyl``. ConvergenceError if the Schur iteration fails.
 
     ValueError for an H that is not square, is empty or has a non-finite
     entry, before any route runs.
@@ -222,93 +203,101 @@ def find_antilinear_symmetry(H, tol: float = 1e-8) -> AntilinearOp:
         return _verified_intertwiner(np.diag(_pattern_walk(H)[0]), H, tol)
     except ConditioningError:
         pass
+    return _verified_intertwiner(_schur_intertwiner(H), H, tol)
+
+
+def _schur_intertwiner(H: np.ndarray) -> np.ndarray:
+    """An M with H·M = M·conj(H), from one Schur form of H (see
+    ``find_antilinear_symmetry``)."""
+    import scipy.linalg
+    from scipy.linalg import lapack
 
     try:
-        system = eigendecompose(H)
-        evals = system.eigenvalues
-    except ConvergenceError as exc:
-        if exc.partial is None:
-            raise
-        system, evals = None, exc.partial[0]
-    buckets = classify_spectrum(evals, tol)
-    if buckets.leftovers:
+        T, Q = scipy.linalg.schur(H, output="complex")
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"Schur factorization failed: {exc}") from exc
+    n = len(T)
+    t = np.diagonal(T)
+    # each star group of t ∪ conj(t) is one block: its members from t, and
+    # the members of conj(T) whose conjugates lie among them
+    own, partners = [], []
+    paired = np.zeros(n, dtype=bool)
+    for members in _clusters(np.concatenate([t, np.conj(t)]),
+                             _relative_radius(t, SCHUR_CLUSTER_TOL)):
+        mine = members[members < n]
+        if 2 * len(mine) == len(members):
+            own.append(mine)
+            partners.append(members[len(mine):] - n)
+            paired[mine] = True
+    if not paired.all():
         raise NoAntilinearSymmetryError(
             "spectrum is not closed under complex conjugation: "
-            f"unpaired eigenvalues {buckets.leftovers}"
+            f"unpaired eigenvalues {np.sort_complex(t[~paired]).tolist()}"
         )
+    placed = np.concatenate(own)
+    position = np.empty(n, dtype=int)
+    position[placed] = np.arange(n)
+    T, Q = _reorder(T, Q, placed)
+    Tc, P = _reorder(np.conj(T), np.eye(n, dtype=complex), position[np.concatenate(partners)])
+    starts = np.cumsum([0] + [len(m) for m in own[:-1]])
+    blocks = [slice(a, a + len(m)) for a, m in zip(starts, own)]
+    # Σ|T_ij| between every two blocks, the strength of their coupling
+    W = np.add.reduceat(np.add.reduceat(np.abs(T), starts, axis=0), starts, axis=1)
+    h_norm = np.linalg.norm(T)
 
-    if system is not None and system.is_diagonalizable:
-        try:
-            return _verified_intertwiner(
-                _spectral_intertwiner(system, buckets.pair_indices), H, tol)
-        except ConditioningError:
-            pass
-    return _verified_intertwiner(
-        _nullspace_intertwiner(H), H, tol)
-
-
-def _spectral_intertwiner(system: BiorthogonalSystem, pair_indices) -> np.ndarray:
-    """M = R[:, π]·diag(c)·Lᵀ for a diagonalizable system (see
-    ``find_antilinear_symmetry``)."""
-    R, L = system.right_vectors, system.left_vectors
-    n = system.dimension
-    perm = np.arange(n)
-    for a, b in pair_indices:
-        perm[a], perm[b] = b, a
-    G = R.conj().T @ R
-    W = G * G[np.ix_(perm, perm)]
-    # |W_ij| below eps·sqrt(W_ii·W_jj), i.e. |G| below √eps, is rounding
-    # noise and ties no phases together: mutually orthogonal groups of
-    # eigenvectors take their phases from separate leading eigenvectors
-    scale = np.sqrt(np.abs(np.diagonal(W)))
-    linked = np.abs(W) > np.finfo(float).eps * np.outer(scale, scale)
-    c = np.empty(n, dtype=complex)
-    for idx in _blocks(linked):
-        lead = np.linalg.eigh(W[np.ix_(idx, idx)])[1][:, -1]
-        c[idx] = np.exp(1j * np.angle(lead))
-    return (R[:, perm] * c) @ L.T
+    Z = np.zeros((n, n), dtype=complex)
+    for h, b in enumerate(blocks):
+        Z[b, b] = _local_intertwiner(T[b, b], Tc[b, b], h_norm)
+        if h == 0:
+            continue
+        # the unit phase that best meets Z_gg·T′_gb = T_gb·Z_bb along b's
+        # strongest coupling to an earlier block g; for an antiunitary
+        # symmetry it leaves Z block diagonal and M unitary
+        g = blocks[int(np.argmax(W[:h, h]))]
+        Z[b, b] *= np.exp(1j * np.angle(np.vdot(T[g, b] @ Z[b, b], Z[g, g] @ Tc[g, b])))
+        # the blocks above it: T[:s, :s]·Z[:s, b] − Z[:s, b]·T′_bb
+        # = Z[:s, :s]·T′[:s, b] − T[:s, b]·Z_bb, by back-substitution
+        lead = slice(0, b.start)
+        rhs = Z[lead, lead] @ Tc[lead, b] - T[lead, b] @ Z[b, b]
+        X, scale, _ = lapack.ztrsyl(T[lead, lead], Tc[b, b], rhs, isgn=-1)
+        Z[lead, b] = X / scale
+    return Q @ Z @ P.conj().T @ Q.T
 
 
-def _nullspace_intertwiner(H: np.ndarray) -> np.ndarray:
-    """Best-conditioned element of the nullspace of X -> H·X − X·conj(H),
-    normalized to ‖M‖_F = 1. SizeBudgetError, before any allocation, when
-    the n²×n² operator would exceed NULLSPACE_MAX_BYTES."""
-    n = H.shape[0]
-    nbytes = n**4 * np.dtype(complex).itemsize
-    if nbytes > NULLSPACE_MAX_BYTES:
-        raise SizeBudgetError(
-            f"intertwiner nullspace operator for n = {n} needs {nbytes / 1e6:.0f} MB, "
-            f"over the {NULLSPACE_MAX_BYTES / 1e6:.0f} MB budget"
-        )
-    # vec (column-major): vec(H X) = (I ⊗ H) vec(X), vec(X B) = (Bᵀ ⊗ I) vec(X)
-    eye = np.eye(n, dtype=complex)
-    A = np.kron(eye, H) - np.kron(np.conj(H).T, eye)
-    basis = _nullspace(A)
-    if basis.shape[1] == 0:
-        raise NoAntilinearSymmetryError(
-            "intertwiner equation M·conj(H) = H·M has no nonzero solution"
-        )
-    mats = [basis[:, k].reshape(n, n, order="F") for k in range(basis.shape[1])]
+def _reorder(T: np.ndarray, Q: np.ndarray, order) -> tuple:
+    """Triangular T with its diagonal entries moved so that position p
+    holds the one now at ``order[p]``, and Q updated to match, by
+    ``ztrexc``."""
+    from scipy.linalg import lapack
 
-    candidates = [sum(mats)]
-    candidates.extend(mats)
-    for a in range(len(mats)):
-        for b in range(a + 1, len(mats)):
-            candidates.append(mats[a] + mats[b])
-            candidates.append(mats[a] - mats[b])
-    rng = np.random.default_rng(0)
-    for _ in range(N_RANDOM_CANDIDATES):
-        coeff = rng.standard_normal(len(mats)) + 1j * rng.standard_normal(len(mats))
-        candidates.append(sum(c * m for c, m in zip(coeff, mats)))
+    at = list(range(len(T)))
+    for p, i in enumerate(order):
+        c = at.index(i, p)
+        if c != p:
+            T, Q, _ = lapack.ztrexc(T, Q, c + 1, p + 1)
+            at.insert(p, at.pop(c))
+    return T, Q
 
-    # the basis columns are orthonormal, so no candidate is zero
-    best, best_sigma_min = None, -1.0
-    for cand in candidates:
-        cand = cand / np.linalg.norm(cand)
-        sigma_min = float(np.linalg.svd(cand, compute_uv=False)[-1])
-        if sigma_min > best_sigma_min:
-            best, best_sigma_min = cand, sigma_min
-    return best
+
+def _local_intertwiner(A: np.ndarray, B: np.ndarray, h_norm: float) -> np.ndarray:
+    """Best-conditioned X with A·X = X·B for k×k blocks, scaled to
+    ‖X‖_F = √k: the identity where A and B agree within
+    NULLSPACE_RTOL·h_norm (a singleton, a semisimple cluster), else the
+    best of an orthonormal basis of the nullspace (singular values below
+    that bound, at least one vector) and its element nearest the
+    identity."""
+    k = len(A)
+    eye = np.eye(k, dtype=complex)
+    if k == 1 or np.linalg.norm(A - B) <= NULLSPACE_RTOL * h_norm:
+        return eye
+    # vec (column-major): vec(A X) = (I ⊗ A) vec(X), vec(X B) = (Bᵀ ⊗ I) vec(X)
+    _, s, vh = np.linalg.svd(np.kron(eye, A) - np.kron(B.T, eye))
+    basis = vh[min(int(np.sum(s > NULLSPACE_RTOL * h_norm)), k * k - 1):].conj()
+    candidates = np.concatenate([basis, [basis.T @ (basis.conj() @ eye.ravel())]])
+    mats = candidates.reshape(-1, k, k).transpose(0, 2, 1)
+    s = np.linalg.svd(mats, compute_uv=False)
+    X = mats[np.argmax(s[:, -1] / np.maximum(s[:, 0], np.finfo(float).tiny))]
+    return X * (np.sqrt(k) / np.linalg.norm(X))
 
 
 def _verified_intertwiner(M: np.ndarray, H: np.ndarray, tol: float) -> AntilinearOp:

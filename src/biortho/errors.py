@@ -64,10 +64,5 @@ class BoundaryResolutionError(BiorthoError, RuntimeError):
     resolution; enlarge the box or refine the grid."""
 
 
-class SizeBudgetError(BiorthoError, MemoryError):
-    """A construction would allocate more memory than its fixed budget,
-    so it is refused before any allocation."""
-
-
 class ConstraintSolveError(BiorthoError, RuntimeError):
     """A defining linear constraint has no solution (empty nullspace)."""

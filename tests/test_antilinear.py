@@ -1,3 +1,4 @@
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -17,14 +18,12 @@ from biortho.antilinear import (
     is_real,
 )
 from biortho.errors import (
-    BiorthoError,
     ConditioningError,
     ConvergenceError,
     DefectiveSystemError,
     NoAntilinearSymmetryError,
     SignAmbiguityError,
     SingularOperatorError,
-    SizeBudgetError,
 )
 from biortho.fock import Realization, parity
 from biortho.models import (
@@ -36,7 +35,7 @@ from biortho.models import (
     pt_operator,
     pu_dynamical_matrix,
 )
-from biortho.spectral import classify_spectrum, eigendecompose
+from biortho.spectral import eigendecompose
 
 complex_scalars = st.complex_numbers(
     min_magnitude=0.0, max_magnitude=10.0, allow_nan=False, allow_infinity=False
@@ -138,7 +137,7 @@ def test_is_real_means_every_imaginary_part_is_zero():
 
 def test_find_symmetry_real_matrix_returns_identity(monkeypatch):
     # the diagonal route with m ≡ 1, exact for entries of any sign and scale
-    monkeypatch.setattr(antilinear, "eigendecompose", _eigendecompose_forbidden)
+    monkeypatch.setattr(antilinear, "_schur_intertwiner", _schur_forbidden)
     rng = np.random.default_rng(4)
     scaled = rng.standard_normal((6, 6)) * 10.0 ** rng.integers(-100, 100, (6, 6))
     for H in (rng.standard_normal((6, 6)), scaled):
@@ -182,12 +181,14 @@ def _gauged_cubic(n, rng):
     return d[:, None] * H * np.conj(d)[None, :]
 
 
-def _nullspace_forbidden(*args, **kwargs):
-    raise AssertionError("nullspace fallback ran")
+def _rotated_gauged_cubic(n, rng):
+    # the gauged cubic in a random complex unitary basis: no diagonal M
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return Q @ _gauged_cubic(n, rng) @ Q.conj().T
 
 
-def _eigendecompose_forbidden(*args, **kwargs):
-    raise AssertionError("eigendecompose ran")
+def _schur_forbidden(*args, **kwargs):
+    raise AssertionError("the Schur route ran")
 
 
 def _svd_forbidden(*args, **kwargs):
@@ -197,11 +198,9 @@ def _svd_forbidden(*args, **kwargs):
 @pytest.mark.parametrize("n", [64, 100, 400])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_find_symmetry_diagonal_route_gauged_cubic(monkeypatch, n, seed):
-    # from n = 64 on the eigen-routes fail on these inputs (the nullspace
-    # operator is over budget; zgeev rounding leaves unpaired eigenvalues);
-    # the diagonal M needs neither an eigendecomposition nor an SVD
+    # the diagonal M needs neither a factorization nor an SVD
     H = _gauged_cubic(n, np.random.default_rng(seed))
-    monkeypatch.setattr(antilinear, "eigendecompose", _eigendecompose_forbidden)
+    monkeypatch.setattr(antilinear, "_schur_intertwiner", _schur_forbidden)
     monkeypatch.setattr(np.linalg, "svd", _svd_forbidden)
     op = find_antilinear_symmetry(H)
     M = op.linear_part
@@ -213,7 +212,7 @@ def test_find_symmetry_diagonal_route_gauged_cubic(monkeypatch, n, seed):
 
 
 def test_find_symmetry_position_real_cubic_is_parity(monkeypatch):
-    monkeypatch.setattr(antilinear, "eigendecompose", _eigendecompose_forbidden)
+    monkeypatch.setattr(antilinear, "_schur_intertwiner", _schur_forbidden)
     for n in (4, 17, 64):
         H = cubic_hamiltonian(n, Realization.POSITION_REAL)
         assert np.array_equal(find_antilinear_symmetry(H).linear_part, parity(n))
@@ -222,7 +221,7 @@ def test_find_symmetry_position_real_cubic_is_parity(monkeypatch):
 def test_find_symmetry_diagonal_route_phases_per_block(monkeypatch):
     # each block of the nonzero pattern takes m = 1 at its smallest index;
     # the blocks' gauges are unrelated and their order is interleaved
-    monkeypatch.setattr(antilinear, "eigendecompose", _eigendecompose_forbidden)
+    monkeypatch.setattr(antilinear, "_schur_intertwiner", _schur_forbidden)
     rng = np.random.default_rng(16)
     n1, n2 = 12, 20
     B = scipy.linalg.block_diag(_gauged_cubic(n1, rng), 1.7 * _gauged_cubic(n2, rng))
@@ -236,21 +235,19 @@ def test_find_symmetry_diagonal_route_phases_per_block(monkeypatch):
     assert commutes_with(op, H).residual < 1e-12
 
 
-def test_find_symmetry_without_diagonal_symmetry_takes_spectral_route(monkeypatch):
+def test_find_symmetry_without_diagonal_symmetry_takes_schur_route(monkeypatch):
     calls = []
-    spectral = antilinear._spectral_intertwiner
+    schur = antilinear._schur_intertwiner
 
     def spy(*args):
         calls.append(1)
-        return spectral(*args)
+        return schur(*args)
 
-    monkeypatch.setattr(antilinear, "_spectral_intertwiner", spy)
-    monkeypatch.setattr(antilinear, "_nullspace_intertwiner", _nullspace_forbidden)
+    monkeypatch.setattr(antilinear, "_schur_intertwiner", spy)
     rng = np.random.default_rng(17)
     inputs = [dimer_hamiltonian(0.5, 1.0), np.diag([1 + 1j, 1 - 1j])]
     for n in (8, 16, 24):
-        Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        inputs.append(Q @ _gauged_cubic(n, rng) @ Q.conj().T)
+        inputs.append(_rotated_gauged_cubic(n, rng))
     for H in inputs:
         calls.clear()
         op = find_antilinear_symmetry(H)
@@ -259,16 +256,15 @@ def test_find_symmetry_without_diagonal_symmetry_takes_spectral_route(monkeypatc
         assert np.linalg.cond(op.linear_part) < 10
 
 
-def test_find_symmetry_spectral_route_gauged_cubic(monkeypatch):
-    monkeypatch.setattr(antilinear, "_nullspace_intertwiner", _nullspace_forbidden)
+def test_find_symmetry_gauged_cubic_and_block_pairs():
     rng = np.random.default_rng(12)
     for n in (8, 12, 16, 20, 24, 28, 32, 36):
         H = _gauged_cubic(n, rng)
         op = find_antilinear_symmetry(H)
         assert commutes_with(op, H).residual < 1e-9
         assert np.linalg.cond(op.linear_part) < 10
-    # two mutually orthogonal groups of eigenvectors (reducible phase
-    # matrix W), block-diagonal and in a random complex basis
+    # two mutually orthogonal groups of eigenvectors, block-diagonal and in
+    # a random complex basis
     for n1, n2 in ((8, 12), (24, 28)):
         B = scipy.linalg.block_diag(_gauged_cubic(n1, rng), 1.7 * _gauged_cubic(n2, rng))
         Q, _ = np.linalg.qr(rng.standard_normal(B.shape) + 1j * rng.standard_normal(B.shape))
@@ -278,51 +274,93 @@ def test_find_symmetry_spectral_route_gauged_cubic(monkeypatch):
             assert np.linalg.cond(op.linear_part) < 10
 
 
-def test_nullspace_fallback_refuses_over_its_memory_budget(monkeypatch):
-    # the n²×n² operator would take 268 MB at n = 64 and 1.6 GB at n = 100;
-    # the refusal comes before it is built
-    rng = np.random.default_rng(15)
-    inputs = [_gauged_cubic(n, rng) for n in (64, 100)]
+@pytest.mark.parametrize("n", [52, 60, 64, 80])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_find_symmetry_schur_route_large_rotated_gauged_cubic(n, seed):
+    # an n²×n² nullspace SVD took 32 s at n = 52 and 73 s at n = 60; the
+    # Schur route needs no eigenvector and no operator beyond n×n
+    H = _rotated_gauged_cubic(n, np.random.default_rng(seed))
+    start = time.perf_counter()
+    op = find_antilinear_symmetry(H)
+    assert time.perf_counter() - start < 1.0
+    assert commutes_with(op, H).residual <= 1e-8
+    assert np.linalg.cond(op.linear_part) < 10
 
-    def kron_forbidden(*args):
-        raise AssertionError("intertwiner operator was built")
 
-    monkeypatch.setattr(np, "kron", kron_forbidden)
-    for H in inputs:
-        with pytest.raises(SizeBudgetError) as excinfo:
-            antilinear._nullspace_intertwiner(H)
-        assert isinstance(excinfo.value, BiorthoError)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_find_symmetry_rotated_gauged_cubic_100_is_verified_or_refused(seed):
+    # at n = 100 eigenvalue rounding (κ up to about 1e9) brings the best
+    # residual near the 1e-8 gate: a verified M or a typed refusal
+    H = _rotated_gauged_cubic(100, np.random.default_rng(seed))
+    start = time.perf_counter()
+    try:
+        op = find_antilinear_symmetry(H)
+    except ConditioningError:
+        pass
+    else:
+        assert commutes_with(op, H).residual <= 1e-8
+    assert time.perf_counter() - start < 1.0
 
-    # a spectral M that misses its gate sends find_antilinear_symmetry to
-    # the fallback, which refuses too
-    def spectral_fails(*args):
-        raise ConditioningError("spectral intertwiner missed its gate")
 
-    monkeypatch.setattr(antilinear, "_verified_intertwiner", spectral_fails)
-    with pytest.raises(SizeBudgetError):
-        find_antilinear_symmetry(inputs[0])
+def _jordan_inputs():
+    rng = np.random.default_rng(1)
+    Q, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    J3 = np.diag([2.0, 2.0, 2.0, 5.0, -3.0]).astype(complex)
+    J3[0, 1] = J3[1, 2] = 1.0
+    J2 = np.diag([1 + 1j, 1 + 1j, 1 - 1j, 1 - 1j])
+    J2[0, 1] = J2[2, 3] = 1.0
+    rng = np.random.default_rng(5)
+    S3 = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    S2 = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    return {
+        "J3 unitary basis": Q @ J3 @ Q.conj().T,
+        "J3 non-unitary basis": S3 @ J3 @ np.linalg.inv(S3),
+        "J2(1+i) + J2(1-i) non-unitary basis": S2 @ J2 @ np.linalg.inv(S2),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_jordan_inputs()))
+def test_find_symmetry_schur_route_jordan_blocks(name):
+    # a k-fold Jordan block splits by about eps^(1/k): the cluster radius
+    # eps^(1/3) keeps a 3×3 block's three eigenvalues in one Schur block
+    H = _jordan_inputs()[name]
+    op = find_antilinear_symmetry(H)
+    assert commutes_with(op, H).residual < 1e-12
+
+
+def test_find_symmetry_closed_spectrum_without_symmetry_is_refused():
+    # J₂(1+i) ⊕ diag(1−i, 1−i) has a conjugation-closed spectrum but is not
+    # similar to its conjugate, so every intertwiner is singular
+    rng = np.random.default_rng(5)
+    Q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    J = np.diag([1 + 1j, 1 + 1j, 1 - 1j, 1 - 1j])
+    J[0, 1] = 1.0
+    with pytest.raises(ConditioningError):
+        find_antilinear_symmetry(Q @ J @ Q.conj().T)
 
 
 def test_find_symmetry_jordan_and_degenerate_complex_inputs(monkeypatch):
-    fallbacks = []
-    nullspace = antilinear._nullspace_intertwiner
+    routes = []
+    schur = antilinear._schur_intertwiner
 
     def spy(H, *args):
-        fallbacks.append(H.shape[0])
-        return nullspace(H, *args)
+        routes.append(H.shape[0])
+        return schur(H, *args)
 
-    monkeypatch.setattr(antilinear, "_nullspace_intertwiner", spy)
+    monkeypatch.setattr(antilinear, "_schur_intertwiner", spy)
     rng = np.random.default_rng(13)
     Q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-    # κ ≈ 5e7 stays below the κ flag, but the cluster rank test flags it
-    # defective, so the nullspace route must serve it
+    # a 2×2 Jordan block in a unitary basis, a semisimple triple eigenvalue,
+    # and a diagonal whose Schur block for the double eigenvalue 1 is
+    # exactly the identity: every 2×2 matrix solves its local equation, and
+    # the element nearest the identity is taken, not a singular basis matrix
     jordan = Q @ np.array([[1.0, 1.0], [0.0, 1.0]]) @ Q.conj().T
     S = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     similar = S @ np.diag([1, 1, 1, 2 + 1j, 2 - 1j, 3]) @ np.linalg.inv(S)
-    for H in (jordan, similar):
+    for H in (jordan, similar, np.diag([1, 1, 1j, -1j])):
         op = find_antilinear_symmetry(H)
         assert commutes_with(op, H).residual < 1e-8
-    assert fallbacks == [2]
+    assert routes == [2, 6, 4]
 
 
 def test_find_symmetry_error_types(monkeypatch):
@@ -335,10 +373,7 @@ def test_find_symmetry_error_types(monkeypatch):
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("QR iteration did not converge")
 
-    # the two geev entry points: right-only where H has a transposition
-    # signature, two-sided otherwise
-    for module in (scipy.linalg, np.linalg):
-        monkeypatch.setattr(module, "eig", no_convergence)
+    monkeypatch.setattr(scipy.linalg, "schur", no_convergence)
     with pytest.raises(ConvergenceError):
         find_antilinear_symmetry(np.diag([1 + 1j, 1 - 1j]))
 
@@ -350,19 +385,16 @@ def test_verified_intertwiner_rejects_nan_residual():
         antilinear._verified_intertwiner(np.eye(2, dtype=complex), H, 1e-8)
 
 
-def test_spectral_and_nullspace_intertwiners_agree_on_equation():
-    # the nullspace route is the reference: both must solve M·conj(H) = H·M
+def test_schur_intertwiner_solves_equation():
+    # the intertwiner equation itself is the reference: M·conj(H) = H·M
     rng = np.random.default_rng(14)
     for n in (2, 3, 5, 6):
         S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         H = S @ rng.standard_normal((n, n)) @ np.linalg.inv(S)
-        system = eigendecompose(H)
-        pairs = classify_spectrum(system.eigenvalues).pair_indices
-        for M in (antilinear._spectral_intertwiner(system, pairs),
-                  antilinear._nullspace_intertwiner(H)):
-            assert np.linalg.svd(M / np.linalg.norm(M), compute_uv=False)[-1] > 1e-8
-            gap = np.linalg.norm(M @ np.conj(H) - H @ M)
-            assert gap < 1e-10 * np.linalg.norm(M) * np.linalg.norm(H)
+        M = antilinear._schur_intertwiner(H)
+        assert np.linalg.svd(M / np.linalg.norm(M), compute_uv=False)[-1] > 1e-8
+        gap = np.linalg.norm(M @ np.conj(H) - H @ M)
+        assert gap < 1e-10 * np.linalg.norm(M) * np.linalg.norm(H)
 
 
 def test_eigenvector_dichotomy_under_antilinear_symmetry():

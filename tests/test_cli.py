@@ -589,12 +589,14 @@ def test_removed_tolerance_flag_is_argparse_error(capsys):
 
 
 def test_cli_import_loads_no_sparse_module():
-    # scipy.sparse loads only inside models.grid_eigenvalues, and the
-    # connected-component search uses no scipy.sparse.csgraph: a process
-    # that never calls the grid oracle keeps both out of memory
+    # every scipy import sits at its call site (scipy.sparse inside
+    # models.grid_eigenvalues, scipy.linalg inside the two-sided geev, the
+    # Schur route of find_antilinear_symmetry and evolution's expm), and
+    # the connected-component search uses no scipy.sparse.csgraph: importing
+    # the CLI loads no scipy module at all
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     probe = ("import sys, biortho.cli; "
-             "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                             text=True, env=env, check=True, timeout=120)
     assert result.stdout.strip() == "[]"
