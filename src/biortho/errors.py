@@ -14,14 +14,7 @@ class InvalidCutoffError(BiorthoError, ValueError):
 
 
 class ConvergenceError(BiorthoError, RuntimeError):
-    """Eigenvalue iteration failed to converge.
-
-    Carries whatever partial results were available in ``partial``.
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """Eigenvalue iteration failed to converge."""
 
 
 class SingularOperatorError(BiorthoError, ValueError):

@@ -170,9 +170,7 @@ def overlap_trace(system: BiorthogonalSystem, t_max: float = 10.0,
             return gap
 
         H, R, L = system.matrix, system.right_vectors, system.left_vectors
-        # the R and the L chain share nothing, so they may run side by side;
-        # both bases are read here, not in the chains, so that a system's
-        # deferred completion never runs inside them
+        # the R and the L chain share nothing, so they may run side by side
         agreement = max(_concurrently(
             [lambda: chain(H, R, E), lambda: chain(H.conj().T, L, np.conj(E))],
             [len(E), len(E)]))

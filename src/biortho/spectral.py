@@ -67,27 +67,25 @@ infinite at a defective eigenvalue. A Jordan block can keep every κ_i
 finite (the 4×4 Pais-Uhlenbeck matrix at equal frequencies reads 7.6e7), so
 each cluster of eigenvalues within DEFECT_CLUSTER_TOL of each other also
 gets a rank test, on each block up to DEFECT_SCAN_MAX_DIM that holds its
-members, whatever the dimension of H. ``is_diagonalizable`` is the one
-verdict on defectiveness, read by the CLI and every library consumer.
+members, whatever the dimension of H. ``defective_indices`` (empty
+exactly when ``is_diagonalizable``) is the one verdict on defectiveness,
+read by the CLI and every library consumer.
 
 Normalization, defect detection and biorthonormalization live here, in
-two halves. ``eigendecompose`` returns with the eigenvalues, both
+two stages. The verdict stage (``_verdicts``) gives the eigenvalues, both
 residuals, the κ_i of the unit geev vectors (from R alone on the
 right-only route) and the defect verdicts, clusters included: a cluster's
 overlap matrix, whose condition decides whether the completion can invert
 it, is block-diagonal, one part per block it spans, since overlaps across
-blocks are exactly zero. That is all ``spectrum`` and ``sweep`` report.
-The first read of ``right_vectors``, ``left_vectors`` or
-``condition_numbers`` (``_Completion``) completes each block on its own
-arrays: its L outside the defective indices becomes the dual basis of
-its R, in one solve per block on either route. Only then do two
-``_assemble`` calls build the n×n bases (each block's columns in their
-sorted positions, zero elsewhere), and the final ``condition_numbers``
-are read off them: the same code on the same data, so the same bits,
-whichever is read first. On one BLAS thread and 2 CPUs the completion
-takes 16 ms at PU 20,20 and 0.60 s at PU 40,40, which ``spectrum`` does
-not pay: the solve is O(n³) per block. The completion runs once, under a
-lock, since it scales L in place.
+blocks are exactly zero. That is all ``spectrum`` and ``sweep`` report,
+and they stop there. ``eigendecompose`` goes on to complete each block on
+its own arrays (``_complete``): its L outside the defective indices
+becomes the dual basis of its R, in one solve per block on either route.
+Only then do two ``_assemble`` calls build the n×n bases (each block's
+columns in their sorted positions, zero elsewhere), and the final
+``condition_numbers`` are read off them. On one BLAS thread and 2 CPUs the
+completion takes 16 ms at PU 20,20 and 0.60 s at PU 40,40, which
+``spectrum`` does not pay: the solve is O(n³) per block.
 """
 
 from __future__ import annotations
@@ -97,6 +95,7 @@ import functools
 import os
 import threading
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -140,71 +139,20 @@ def _sort_key(values):
     return np.lexsort((values.imag, values.real))
 
 
-class _Completion:
-    """The deferred half of ``eigendecompose``: ``finish()`` returns the
-    three ``_DEFERRED`` fields. It runs once, under a lock, in whichever
-    thread first reads one of them, and keeps the arrays for the other two
-    reads; it scales L in place, so it must never run twice."""
-
-    def __init__(self, finish):
-        self.lock = threading.Lock()
-        self.finish = finish
-        self.values = None
-
-    def result(self) -> dict:
-        with self.lock:
-            if self.values is None:
-                if self.finish is None:
-                    raise RuntimeError("the biorthogonal completion failed on an earlier read")
-                finish, self.finish = self.finish, None
-                self.values = dict(zip(_DEFERRED, finish()))
-        return self.values
-
-
-class _Deferred:
-    """A field of ``BiorthogonalSystem`` that may hold a pending
-    ``_Completion``, replaced by its array on first read. It has no class
-    default, so the dataclass field stays a required argument, and
-    ``dataclasses.replace`` reads (and so completes) it like any field."""
-
-    def __set_name__(self, owner, name):
-        self.name, self.slot = name, "_" + name
-
-    def __get__(self, system, owner=None):
-        if system is None:
-            raise AttributeError(self.name)
-        value = system.__dict__[self.slot]
-        if isinstance(value, _Completion):
-            value = system.__dict__[self.slot] = value.result()[self.name]
-        return value
-
-    def __set__(self, system, value):
-        system.__dict__[self.slot] = value
-
-
-_DEFERRED = ("right_vectors", "left_vectors", "condition_numbers")
-
-
 @dataclass
 class BiorthogonalSystem:
     """Right/left eigensystem of a square complex matrix; column i of
-    ``left_vectors`` belongs to column i of ``right_vectors``. Those two
-    and ``condition_numbers`` are built on first read (``eigendecompose``);
-    every other field is there from the start."""
+    ``left_vectors`` belongs to column i of ``right_vectors``."""
 
     matrix: np.ndarray
     eigenvalues: np.ndarray          # E_i, sorted by (Re, Im)
-    right_vectors: np.ndarray = _Deferred()      # columns |R_i>, unit norm
-    left_vectors: np.ndarray = _Deferred()       # columns |L_i>, <L_i|R_i> = 1
-    condition_numbers: np.ndarray = _Deferred()  # κ_i = ||L_i||·||R_i||/|<L_i|R_i>| >= 1
+    right_vectors: np.ndarray        # columns |R_i>, unit norm
+    left_vectors: np.ndarray         # columns |L_i>, <L_i|R_i> = 1
+    condition_numbers: np.ndarray    # κ_i = ||L_i||·||R_i||/|<L_i|R_i>| >= 1
     right_residual: float            # max_i ||H R_i - E_i R_i||
     left_residual: float             # max_i ||H† L_i - conj(E_i) L_i||
     defective_indices: list = field(default_factory=list)
     defects: list = field(default_factory=list)   # DefectReport per defective cluster
-
-    def __getstate__(self) -> dict:
-        # copies and pickles carry the arrays, not the pending completion
-        return {**self.__dict__, **{"_" + name: getattr(self, name) for name in _DEFERRED}}
 
     @property
     def dimension(self) -> int:
@@ -250,14 +198,52 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
     block B of dimension m, rank rule of ``_cluster_defect``), is below
     the number of its members there, with its DefectReport in
     ``defects``. So is every cluster free of flagged indices whose overlap
-    matrix is too ill-conditioned to invert. On each block the left
-    vectors of the other indices are the dual basis of the right ones,
+    matrix is too ill-conditioned to invert. These verdicts come from
+    ``_verdicts``. ``_complete`` then makes the left vectors of the other
+    indices on each block the dual basis of the right ones,
     <L_j|R_i> = δ_ij, from one solve per block. ``condition_numbers`` are
-    those of the vectors returned. Those vectors, their solves and
-    ``condition_numbers`` are made on the first read of ``right_vectors``,
-    ``left_vectors`` or ``condition_numbers`` (``_complete``); every
-    verdict is there before.
+    those of the vectors returned.
     """
+    H = np.asarray(H, dtype=complex)
+    verdicts = _verdicts(H, tol)
+    right, left, kappa = _complete(verdicts)
+    return BiorthogonalSystem(
+        matrix=H,
+        eigenvalues=verdicts.eigenvalues,
+        right_vectors=right,
+        left_vectors=left,
+        condition_numbers=kappa,
+        right_residual=verdicts.right_residual,
+        left_residual=verdicts.left_residual,
+        defective_indices=verdicts.defective_indices,
+        defects=verdicts.defects,
+    )
+
+
+class _Verdicts(NamedTuple):
+    """What ``_verdicts`` decides, and the per-block arrays ``_complete``
+    builds the bases from."""
+
+    eigenvalues: np.ndarray
+    right_residual: float
+    left_residual: float
+    defective_indices: list
+    defects: list
+    blocks: list           # index sets of the diagonal blocks (``_blocks``)
+    order: np.ndarray      # sorted position p holds block column order[p]
+    places: tuple          # ``_places(blocks, order)``
+    odd: np.ndarray        # D = diag(i^odd) of ``_real_form``, or None
+    signs: list            # each block's signature, or None
+    lvecs: tuple           # each block's geev L, None on the right-only route
+    rvecs: tuple           # each block's geev R
+    overlaps: tuple        # each block's <L_i|R_i>
+    kappas: tuple          # each block's κ_i of the unit geev vectors
+
+
+def _verdicts(H, tol: float = DEFAULT_TOL) -> _Verdicts:
+    """The first stage of ``eigendecompose``, and all that ``spectrum`` and
+    ``sweep`` run: the factorization, the residual gate and the defect
+    verdicts, without the n×n bases."""
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
@@ -297,13 +283,9 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
     right_res, left_res = max(right), max(left)
     # overflow leaves inf or NaN on either side, and that fails the gate
     if not max(right_res, left_res) <= tol * scale < np.inf:
-        lvecs = [_left(L, R, s) for L, R, s in zip(lvecs, rvecs, signs)]
         raise ConvergenceError(
             f"eigenvector residual {max(right_res, left_res):.3e} exceeds "
-            f"{tol:.1e}·||H||",
-            partial=(evals, _gauge(_assemble(blocks, order, rvecs), odd),
-                     np.conj(evals), _gauge(_assemble(blocks, order, lvecs), odd)),
-        )
+            f"{tol:.1e}·||H||")
 
     kappa = np.concatenate(kappas)[order]
     flagged = kappa > 1.0 / OVERLAP_FLOOR
@@ -337,34 +319,18 @@ def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
         if not sigma.max() < 1e8 * sigma.min():
             defective.update(cluster.tolist())
 
-    # the n×n bases wait for their first read: spectrum and sweep never make
-    # one
-    pending = _Completion(functools.partial(
-        _complete, blocks, order, places, odd, signs, lvecs, rvecs, overlaps, kappas,
-        defective))
-    return BiorthogonalSystem(
-        matrix=H,
-        eigenvalues=evals,
-        right_vectors=pending,
-        left_vectors=pending,
-        condition_numbers=pending,
-        right_residual=right_res,
-        left_residual=left_res,
-        defective_indices=sorted(defective),
-        defects=defects,
-    )
+    return _Verdicts(evals, right_res, left_res, sorted(defective), defects,
+                     blocks, order, places, odd, signs, lvecs, rvecs, overlaps, kappas)
 
 
-def _complete(blocks, order, places, odd, signs, lvecs, rvecs, overlaps, kappas,
-              defective) -> tuple:
-    """The deferred half of ``eigendecompose``: the n×n (R, L, κ) from each
-    block's geev vectors (L None where it is conj(J·R)), their overlaps
-    <L_i|R_i> and κ_i and ``_places(blocks, order)``. Each block's L is
-    formed and scaled (its geev L in place) on its own arrays, the blocks
-    in turn: a read may come from a ``_concurrently`` task, which must not
-    call it again. Its columns outside the defective indices then become
-    the dual basis of R's, L·O⁻ᴴ for their overlap matrix O = Lᴴ·R, in
-    one solve per block.
+def _complete(verdicts: _Verdicts) -> tuple:
+    """The second stage of ``eigendecompose``: the n×n (R, L, κ) from the
+    per-block arrays of ``verdicts``, each block's geev vectors (L None
+    where it is conj(J·R)), their overlaps <L_i|R_i> and κ_i. Each block's
+    L is formed and scaled on its own arrays, the blocks in turn; a geev L
+    is scaled in place, so ``verdicts`` can be completed only once. Its
+    columns outside the defective indices then become the dual basis of
+    R's, L·O⁻ᴴ for their overlap matrix O = Lᴴ·R, in one solve per block.
 
     That solve biorthonormalizes each degenerate cluster, and on the
     right-only route it also clears the overlaps <L_j|R_i> of distinct
@@ -372,11 +338,14 @@ def _complete(blocks, order, places, odd, signs, lvecs, rvecs, overlaps, kappas,
     (E_i − E_j)·<L_j|R_i> = <s_j|R_i> − <L_j|r_i> for the residuals s, r,
     which a two-sided ``geev`` cancels through the Schur form both sides
     share."""
-    owner, column = places
+    blocks, order, (owner, column), odd = (verdicts.blocks, verdicts.order,
+                                           verdicts.places, verdicts.odd)
     kept = np.ones(len(order), dtype=bool)
-    kept[sorted(defective)] = False
+    kept[verdicts.defective_indices] = False
     lefts = []
-    for b, (L, R, s, overlap, k) in enumerate(zip(lvecs, rvecs, signs, overlaps, kappas)):
+    for b, (L, R, s, overlap, k) in enumerate(zip(verdicts.lvecs, verdicts.rvecs,
+                                                  verdicts.signs, verdicts.overlaps,
+                                                  verdicts.kappas)):
         L = _left(L, R, s)
         scaled = ~(k > 1.0 / OVERLAP_FLOOR)
         L[:, scaled] /= np.conj(overlap[scaled])
@@ -386,7 +355,7 @@ def _complete(blocks, order, places, odd, signs, lvecs, rvecs, overlaps, kappas,
         O = np.conj(Lh, out=Lh) @ R[:, cols]
         L[:, cols] = np.linalg.solve(O, Lh).conj().T
         lefts.append(L)
-    lvecs, rvecs = _assemble(blocks, order, lefts), _assemble(blocks, order, rvecs)
+    lvecs, rvecs = _assemble(blocks, order, lefts), _assemble(blocks, order, verdicts.rvecs)
     # κ of the vectors returned: on the kept columns, that of the dual
     # basis, which R alone fixes, whichever route gave L. vecdot
     # conjugates its first argument without an n×n copy

@@ -192,10 +192,9 @@ def test_sweep_reports_the_eigendecompose_defect_verdict(capsys, monkeypatch):
 
 
 def test_spectrum_and_sweep_never_build_the_n_by_n_bases(capsys, monkeypatch):
-    # both report eigenvalues, residuals and defect verdicts, which
-    # eigendecompose has before its deferred completion: the solves that
-    # complete each block's L and the n×n bases wait for a read that never
-    # comes
+    # both report eigenvalues, residuals and defect verdicts, which come
+    # from eigendecompose's verdict stage: they never make the solves that
+    # complete each block's L, or the n×n bases
     from biortho import spectral
 
     calls = []
@@ -208,13 +207,16 @@ def test_spectrum_and_sweep_never_build_the_n_by_n_bases(capsys, monkeypatch):
     assert code == 0
     assert calls == []
 
-    # the same report, byte for byte, from a system completed before it
-    def completed(H):
-        system = eigendecompose(H)
-        system.right_vectors
-        return system
+    # the same report, byte for byte, from the verdicts of a completed system
+    verdicts, taken = spectral._verdicts, []
+    monkeypatch.setattr(spectral, "_verdicts",
+                        lambda *args: taken.append(verdicts(*args)) or taken[-1])
 
-    monkeypatch.setattr(cli, "eigendecompose", completed)
+    def completed(H):
+        eigendecompose(H)
+        return taken.pop()
+
+    monkeypatch.setattr(cli, "_verdicts", completed)
     code, eager = run_cli(capsys, *spectrum)
     assert code == 0
     # both bases are assembled once, after each parity sector is completed

@@ -9,7 +9,7 @@ import sys
 import threading
 import time
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +45,7 @@ from biortho.spectral import (
     _pattern_walk,
     _real_form,
     _relative_radius,
+    _verdicts,
     classify_spectrum,
     eigendecompose,
 )
@@ -261,14 +262,11 @@ def test_eigendecompose_one_by_one():
     assert abs(system.overlap_matrix()[0, 0] - 1.0) < 1e-14
 
 
-def test_residual_gate_raises_convergence_error_with_partial():
-    from biortho.errors import ConvergenceError
-
+def test_residual_gate_raises_convergence_error():
     rng = np.random.default_rng(19)
     H = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    with pytest.raises(ConvergenceError) as excinfo:
+    with pytest.raises(ConvergenceError):
         eigendecompose(H, tol=1e-30)
-    assert excinfo.value.partial is not None
 
 
 def test_oracle_equivalence_random_matrices():
@@ -731,17 +729,18 @@ def test_pattern_walk_finds_the_transposition_signature(H):
     assert (sign is None) == (not any(signed))
 
 
-def test_convergence_error_partial_holds_vectors_of_h():
-    # two gauge-real blocks on shuffled indices; tol 0 fails the gate
+def test_shuffled_gauge_real_blocks_hold_vectors_of_h():
+    # two gauge-real blocks on shuffled indices: each block's vectors go
+    # back to H's rows, in H's gauge
     rng = np.random.default_rng(5)
     B = scipy.linalg.block_diag(cubic_hamiltonian(30, Realization.POSITION_REAL),
                                 cubic_hamiltonian(20, Realization.POSITION_REAL))
     perm = rng.permutation(50)
     H = B[np.ix_(perm, perm)]
     assert len(_real_form(H)[2]) == 2
-    with pytest.raises(ConvergenceError) as info:
-        eigendecompose(H, tol=0.0)
-    evals, rvecs, levals, lvecs = info.value.partial
+    system = eigendecompose(H)
+    evals, rvecs = system.eigenvalues, system.right_vectors
+    levals, lvecs = system.left_eigenvalues, system.left_vectors
     bound = 1e-9 * np.linalg.norm(H, 2)
     assert np.max(np.linalg.norm(H @ rvecs - rvecs * evals, axis=0)) < bound
     assert np.max(np.linalg.norm(H.conj().T @ lvecs - lvecs * levals, axis=0)) < bound
@@ -1023,7 +1022,7 @@ def _same_system(a, b) -> bool:
             and a.defective_indices == b.defective_indices and a.defects == b.defects)
 
 
-DEFERRAL_CASES = {
+VERDICT_STAGE_CASES = {
     **CONCURRENT_CASES,
     "pu-12-12": pu_hamiltonian_fock(12, 12, PUParams(1.0, 1.0, 2.0)),
     "cubic-200-position-real": cubic_hamiltonian(200, Realization.POSITION_REAL),
@@ -1034,38 +1033,37 @@ DEFERRAL_CASES = {
 }
 
 
-def _pending(system) -> bool:
-    """Whether no deferred field of ``system`` has been read yet."""
-    return all(isinstance(system.__dict__["_" + name], spectral._Completion)
-               for name in spectral._DEFERRED)
+@pytest.mark.parametrize("name", sorted(VERDICT_STAGE_CASES))
+def test_verdict_stage_agrees_bitwise_with_eigendecompose(name):
+    # spectrum and sweep report the verdict stage alone: it must read what
+    # eigendecompose returns, to the bit
+    H = VERDICT_STAGE_CASES[name]
+    verdicts, system = _verdicts(H), eigendecompose(H)
+    for field in ("eigenvalues", "right_residual", "left_residual"):
+        assert (np.asarray(getattr(verdicts, field)).tobytes()
+                == np.asarray(getattr(system, field)).tobytes())
+    assert verdicts.defective_indices == system.defective_indices
+    assert verdicts.defects == system.defects
 
 
-@pytest.mark.parametrize("name", sorted(DEFERRAL_CASES))
-def test_vectors_read_before_or_after_the_flags_agree_bitwise(name):
-    # the flags are eager, the bases and κ deferred: neither order of reads
-    # changes a bit of either
-    H = DEFERRAL_CASES[name]
-    vectors_first, flags_first = eigendecompose(H), eigendecompose(H)
-    assert _pending(vectors_first) and _pending(flags_first)
-    vectors = [vectors_first.right_vectors, vectors_first.left_vectors,
-               vectors_first.condition_numbers]
-    flags = (flags_first.defective_indices, flags_first.defects, flags_first.is_diagonalizable)
-    assert _pending(flags_first)
-    assert (vectors_first.defective_indices, vectors_first.defects,
-            vectors_first.is_diagonalizable) == flags
-    assert _same_system(vectors_first, flags_first)
-    assert all(a is b for a, b in zip(vectors, (vectors_first.right_vectors,
-                                                vectors_first.left_vectors,
-                                                vectors_first.condition_numbers)))
+def test_eigendecompose_completes_once_before_it_returns(monkeypatch):
+    calls = []
+    complete = spectral._complete
+    monkeypatch.setattr(spectral, "_complete",
+                        lambda *args: calls.append(None) or complete(*args))
+    system = eigendecompose(VERDICT_STAGE_CASES["pu-12-12"])
+    assert len(calls) == 1
+    for field in fields(system):
+        getattr(system, field.name)
+    system.overlap_matrix(), system.reconstruct()
+    assert len(calls) == 1
 
 
 def test_replace_copy_and_pickle_carry_the_deferred_fields():
-    H = DEFERRAL_CASES["pu-12-12"]
+    H = VERDICT_STAGE_CASES["pu-12-12"]
     reference = eigendecompose(H)
-    # replace reads every field it keeps, and so completes a pending system
     system = eigendecompose(H)
     shifted = replace(system, eigenvalues=system.eigenvalues + 1e-8)
-    assert not _pending(system)
     assert shifted.right_vectors is system.right_vectors
     assert shifted.condition_numbers is system.condition_numbers
     left = 2 * system.left_vectors
@@ -1073,15 +1071,14 @@ def test_replace_copy_and_pickle_carry_the_deferred_fields():
     assert relabelled.left_vectors is left
     assert relabelled.right_vectors is system.right_vectors
     assert _same_system(system, reference)
-    # copies and pickles carry the completed arrays
-    pending = eigendecompose(H)
-    twin = copy.copy(pending)
-    assert twin.right_vectors is pending.right_vectors
-    assert twin.left_vectors is pending.left_vectors
+    # copies and pickles carry the arrays
+    original = eigendecompose(H)
+    twin = copy.copy(original)
+    assert twin.right_vectors is original.right_vectors
+    assert twin.left_vectors is original.left_vectors
     assert _same_system(twin, reference)
     for clone in (copy.deepcopy(eigendecompose(H)),
                   pickle.loads(pickle.dumps(eigendecompose(H)))):
-        assert not _pending(clone)
         assert _same_system(clone, reference)
 
 
@@ -1135,7 +1132,7 @@ def _worker_probe() -> dict:
     traces = []
     for workers in (1, 2):
         spectral._parallelism = lambda workers=workers: workers
-        traces.append(overlap_trace(eigendecompose(DEFERRAL_CASES["pu-12-12"])))
+        traces.append(overlap_trace(eigendecompose(VERDICT_STAGE_CASES["pu-12-12"])))
     report["overlap_trace"] = {"equal": _same_trace(*traces), "completions": len(completions)}
     spectral._complete = complete
 
@@ -1182,33 +1179,6 @@ def _worker_probe() -> dict:
     finally:
         sys.setswitchinterval(switch)
     report["stress"] = runs
-
-    # four threads, more than the CPUs, read the deferred fields of one
-    # pending system at once, the interpreter switching threads as often as
-    # it can: each of 20 systems completes once, and every read of a field
-    # returns the same array
-    names = ["right_vectors", "left_vectors", "condition_numbers", "right_vectors"]
-    spectral._complete = counted
-    sys.setswitchinterval(1e-6)
-    try:
-        races = []
-        for _ in range(20):
-            system = eigendecompose(DEFERRAL_CASES["pu-12-12"])
-            completions.clear()
-            barrier = threading.Barrier(len(names), timeout=30)
-
-            def read(name, system=system, barrier=barrier):
-                barrier.wait()
-                return getattr(system, name)
-
-            values = _concurrently([lambda name=name: read(name) for name in names],
-                                   [CONCURRENT_MIN_DIM] * len(names))
-            races.append(len(completions) == 1
-                         and all(v is getattr(system, name) for v, name in zip(values, names)))
-    finally:
-        sys.setswitchinterval(switch)
-        spectral._complete = complete
-    report["racing_reads"] = races
 
     if not hasattr(os, "fork"):
         return report
@@ -1266,26 +1236,6 @@ def test_worker_tasks_run_under_the_callers_errstate(worker_report):
 
 def test_overlap_trace_with_a_worker_matches_the_plain_loop_bitwise(worker_report):
     assert worker_report["overlap_trace"] == {"equal": True, "completions": 2}
-
-
-def test_racing_reads_complete_a_system_once(worker_report):
-    # the completion scales L in place: a second run would corrupt it
-    assert worker_report["racing_reads"] == [True] * 20
-
-
-def test_a_failed_completion_is_never_run_again():
-    runs = []
-
-    def finish():
-        runs.append(None)
-        raise MemoryError("no room for the n×n bases")
-
-    pending = spectral._Completion(finish)
-    with pytest.raises(MemoryError):
-        pending.result()
-    with pytest.raises(RuntimeError, match="failed on an earlier read"):
-        pending.result()
-    assert len(runs) == 1
 
 
 def test_every_task_runs_once_under_contention(worker_report):
