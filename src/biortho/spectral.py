@@ -66,25 +66,28 @@ Pseudospectra*, 2005): 1 for a normal matrix, large for a non-normal one,
 infinite at a defective eigenvalue. A Jordan block can keep every κ_i
 finite (the 4×4 Pais-Uhlenbeck matrix at equal frequencies reads 7.6e7), so
 each cluster of eigenvalues within DEFECT_CLUSTER_TOL of each other also
-gets a rank test, on each block up to DEFECT_SCAN_MAX_DIM that holds its
-members, whatever the dimension of H. ``defective_indices`` (empty
-exactly when ``is_diagonalizable``) is the one verdict on defectiveness,
-read by the CLI and every library consumer.
+gets a rank test on a block up to DEFECT_SCAN_MAX_DIM, whatever the
+dimension of H. A Jordan chain lies in one invariant subspace (Golub &
+Wilkinson, SIAM Rev. 18, 578 (1976)), so in one block: a cluster belongs to
+one block, at that block's radius and norm, and an eigenvalue that another
+block shares is not a member. ``defective_indices`` (empty exactly when
+``is_diagonalizable``) is the one verdict on defectiveness, read by the CLI
+and every library consumer.
 
 Normalization, defect detection and biorthonormalization live here, in
 two stages. The verdict stage (``_verdicts``) gives the eigenvalues, both
-residuals, the κ_i of the unit geev vectors (from R alone on the
-right-only route) and the defect verdicts, clusters included: a cluster's
-overlap matrix, whose condition decides whether the completion can invert
-it, is block-diagonal, one part per block it spans, since overlaps across
-blocks are exactly zero. That is all ``spectrum`` and ``sweep`` report,
-and they stop there. ``eigendecompose`` goes on to complete each block on
-its own arrays (``_complete``): its L outside the defective indices
-becomes the dual basis of its R, in one solve per block on either route.
-Only then do two ``_assemble`` calls build the n×n bases (each block's
-columns in their sorted positions, zero elsewhere), and the final
-``condition_numbers`` are read off them. On one BLAS thread and 2 CPUs the
-completion takes 16 ms at PU 20,20 and 0.60 s at PU 40,40, which
+residuals, and each block's verdicts, which the block's own task reaches
+right after its factorization (``_judge``): the κ_i of its unit geev
+vectors (from R alone on the right-only route), its clusters' rank tests,
+and the condition of each cluster's overlap matrix, which decides whether
+the completion can invert it. That is all ``spectrum`` and ``sweep``
+report, and they stop there. ``eigendecompose`` goes on to complete each
+block on its own arrays (``_complete``): its L outside the defective
+columns becomes the dual basis of its R, in one solve per block on either
+route, and the final ``condition_numbers`` are read off those arrays. Only
+then do two ``_assemble`` calls build the n×n bases (each block's columns
+in their sorted positions, zero elsewhere). On one BLAS thread and 2 CPUs
+the completion takes 16 ms at PU 20,20 and 0.60 s at PU 40,40, which
 ``spectrum`` does not pay: the solve is O(n³) per block.
 """
 
@@ -105,13 +108,13 @@ DEFAULT_TOL = 1e-9
 # default tol of the conjugation rule (``classify_spectrum``), relative to
 # max(1, max|E|): rounding moves an eigenvalue in proportion to ||H||
 CONJUGATION_TOL = 1e-8
-# eigenvalues within DEFECT_CLUSTER_TOL·max(1, max|E|) of each other form a
-# cluster; singular values of B − Ē·I, B a block holding its members, above
-# DEFECT_RANK_TOL·||H|| and above twice the cluster's spread count towards
-# the rank that decides its geometric multiplicity
+# eigenvalues of one block B within DEFECT_CLUSTER_TOL·max(1, max|E_B|) of
+# each other form a cluster; singular values of B − Ē·I above
+# DEFECT_RANK_TOL·max(||B||₂, 1) and above twice the cluster's spread count
+# towards the rank that decides its geometric multiplicity
 DEFECT_CLUSTER_TOL = 1e-6
 DEFECT_RANK_TOL = 1e-10
-# the rank test (one SVD per block a cluster spans) and the exact ||A||₂ of
+# the rank test (one SVD of the cluster's block) and the exact ||A||₂ of
 # the residual gate are only trusted, and affordable, on small blocks;
 # larger ones rely on the condition-number flag alone, and their gate on a
 # lower bound on ||A||₂ (``_factorize``)
@@ -183,20 +186,20 @@ class BiorthogonalSystem:
 
 def eigendecompose(H, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
     """Full biorthogonal decomposition of a square complex matrix, one
-    ``geev`` per diagonal block of its nonzero pattern (``_blocks``), real
-    ``dgeev`` whenever H is real up to a diagonal gauge (``_real_form``),
-    right-only on each block with a transposition signature (``_factorize``).
+    ``geev`` per diagonal block of its nonzero pattern (``_real_form``),
+    real ``dgeev`` whenever H is real up to a diagonal gauge, right-only on
+    each block with a transposition signature (``_factorize``).
 
     Raises ConvergenceError if the QR iteration fails or the residuals of
     any block exceed tol·||H||₂ (the largest block norm; a lower bound on
     it for blocks above DEFECT_SCAN_MAX_DIM, ``_factorize``). Defects are
-    flagged, not fatal: an index is defective when the κ_i of its unit
-    geev vectors exceeds 1/OVERLAP_FLOOR, and so is every member of a
-    cluster (eigenvalues within DEFECT_CLUSTER_TOL·max(1, max|E|)) whose
-    geometric multiplicity, summed over the blocks of at most
-    DEFECT_SCAN_MAX_DIM that hold its members (m − rank(B − Ē·I) for a
-    block B of dimension m, rank rule of ``_cluster_defect``), is below
-    the number of its members there, with its DefectReport in
+    flagged, not fatal, and each block is judged on its own (``_judge``):
+    an index is defective when the κ_i of its unit geev vectors exceeds
+    1/OVERLAP_FLOOR, and so is every member of a cluster of the block's
+    eigenvalues (within DEFECT_CLUSTER_TOL·max(1, max|E|) over the block)
+    whose geometric multiplicity m − rank(B − Ē·I), on a block B of
+    dimension m up to DEFECT_SCAN_MAX_DIM (rank rule of
+    ``_cluster_defect``), is below its size, with its DefectReport in
     ``defects``. So is every cluster free of flagged indices whose overlap
     matrix is too ill-conditioned to invert. These verdicts come from
     ``_verdicts``. ``_complete`` then makes the left vectors of the other
@@ -229,21 +232,21 @@ class _Verdicts(NamedTuple):
     left_residual: float
     defective_indices: list
     defects: list
-    blocks: list           # index sets of the diagonal blocks (``_blocks``)
-    order: np.ndarray      # sorted position p holds block column order[p]
-    places: tuple          # ``_places(blocks, order)``
+    blocks: list           # index sets of the diagonal blocks (``_real_form``)
+    where: np.ndarray      # sorted position of each column of the blocks side by side
     odd: np.ndarray        # D = diag(i^odd) of ``_real_form``, or None
     signs: list            # each block's signature, or None
     lvecs: tuple           # each block's geev L, None on the right-only route
     rvecs: tuple           # each block's geev R
     overlaps: tuple        # each block's <L_i|R_i>
     kappas: tuple          # each block's κ_i of the unit geev vectors
+    lost: tuple            # each block's mask of defective columns
 
 
 def _verdicts(H, tol: float = DEFAULT_TOL) -> _Verdicts:
     """The first stage of ``eigendecompose``, and all that ``spectrum`` and
-    ``sweep`` run: the factorization, the residual gate and the defect
-    verdicts, without the n×n bases."""
+    ``sweep`` run: the factorization and judgement of each block
+    (``_judge``) and the residual gate, without the n×n bases."""
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
@@ -259,25 +262,26 @@ def _verdicts(H, tol: float = DEFAULT_TOL) -> _Verdicts:
     # 2^−e·A, the scale geev itself takes from the whole matrix
     exponent = 0 if 1.0 / SAFE_SCALE <= peak <= SAFE_SCALE else int(np.frexp(peak)[1])
 
-    # A = D⁻¹·H·D; each block of its nonzero pattern is factorized on its
-    # own, and one block is A itself, not a copy
+    # A = D⁻¹·H·D; each block of its nonzero pattern is factorized and
+    # judged on its own, and one block is A itself, not a copy
     A, odd, blocks, sign = _real_form(H)
     # sign is 0 throughout a block without a signature
     signs = [None if sign is None or not sign[idx[0]] else sign[idx] for idx in blocks]
     try:
         parts = _concurrently(
-            [lambda idx=idx, s=s: _factorize(A if len(blocks) == 1 else A[np.ix_(idx, idx)],
-                                              s, exponent)
+            [lambda idx=idx, s=s: _judge(A if len(blocks) == 1 else A[np.ix_(idx, idx)],
+                                         s, exponent)
              for idx, s in zip(blocks, signs)],
             # scipy's two-sided geev holds the GIL: a second thread cannot
             # overlap it
             [0 if s is None else len(idx) for idx, s in zip(blocks, signs)])
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
-    evals, lvecs, rvecs, norms, right, left, overlaps, kappas = zip(*parts)
+    evals, lvecs, rvecs, norms, right, left, overlaps, kappas, lost, reports = zip(*parts)
     evals = np.concatenate(evals)
     order = _sort_key(evals)
-    evals = evals[order]
+    where = np.empty(len(order), dtype=int)
+    where[order] = np.arange(len(order))
     # ||A||₂ of a block-diagonal A is its largest block norm
     scale = max(*norms, 1.0)
     right_res, left_res = max(right), max(left)
@@ -286,51 +290,63 @@ def _verdicts(H, tol: float = DEFAULT_TOL) -> _Verdicts:
         raise ConvergenceError(
             f"eigenvector residual {max(right_res, left_res):.3e} exceeds "
             f"{tol:.1e}·||H||")
+    return _Verdicts(evals[order], right_res, left_res,
+                     np.sort(where[np.concatenate(lost)]).tolist(),
+                     [report for block in reports for report in block],
+                     blocks, where, odd, signs, lvecs, rvecs, overlaps, kappas, lost)
 
-    kappa = np.concatenate(kappas)[order]
-    flagged = kappa > 1.0 / OVERLAP_FLOOR
-    # a cluster whose geometric multiplicity falls short of its size is a
-    # Jordan block, however well conditioned geev's vectors look. geev
-    # back-transforms each vector on its own, so inside any other cluster
-    # the two bases need not be biorthogonal, and the completion's solve
-    # must invert the cluster's overlap matrix: a cluster free of flagged
-    # indices that is too ill-conditioned for that counts as defective
-    defective = set(np.flatnonzero(flagged).tolist())
-    defects = []
-    places = owner, column = _places(blocks, order)
+
+def _judge(A, sign, exponent: int) -> tuple:
+    """``_factorize``'s tuple for a block A, and the block's verdicts from
+    its own arrays alone: the mask of its defective columns and the
+    DefectReports of its defective clusters, by eigenvalue.
+
+    A column is defective where the κ_i of its unit geev vectors exceeds
+    1/OVERLAP_FLOOR. A Jordan chain lies in one invariant subspace, so
+    within one block: a cluster of A's eigenvalues (DEFECT_CLUSTER_TOL
+    relative to the block's max|E|) whose geometric multiplicity falls
+    short of its size is a Jordan block, however well conditioned geev's
+    vectors look, and all its members are defective. geev back-transforms
+    each vector on its own, so inside any other cluster the two bases need
+    not be biorthogonal, and the completion's solve must invert the
+    cluster's overlap matrix: a cluster free of flagged columns that is too
+    ill-conditioned for that counts as defective.
+
+    A block whose norm overflows fails the residual gate, and its
+    eigenvalues may overflow too: it is not judged."""
+    part = _factorize(A, sign, exponent)
+    evals, lvecs, rvecs, norm, _, _, overlaps, kappa = part
+    lost = kappa > 1.0 / OVERLAP_FLOOR
+    reports = []
+    if not np.isfinite(norm):
+        return (*part, lost, reports)
     for cluster in _clusters(evals, _relative_radius(evals, DEFECT_CLUSTER_TOL)):
-        report = _cluster_defect(A, blocks, owner[cluster], complex(np.mean(evals[cluster])),
-                                 evals[cluster], scale)
-        if report.is_defective:
-            defects.append(report)
-            defective.update(cluster.tolist())
+        if len(A) <= DEFECT_SCAN_MAX_DIM:
+            report = _cluster_defect(A, complex(np.mean(evals[cluster])), evals[cluster],
+                                     max(norm, 1.0))
+            if report.is_defective:
+                reports.append(report)
+                lost[cluster] = True
+                continue
+        if lost[cluster].any():
             continue
-        if flagged[cluster].any():
-            continue
-        # overlaps across blocks are exactly zero, so the cluster's overlap
-        # matrix is block-diagonal, one O per block it spans: its singular
-        # values, and so its condition number, are those of the O together
-        shares = []
-        for b in np.unique(owner[cluster]):
-            cols = column[cluster[owner[cluster] == b]]
-            L = _left(lvecs[b], rvecs[b], signs[b], cols) / np.conj(overlaps[b][cols])
-            shares.append(np.linalg.svd(L.conj().T @ rvecs[b][:, cols], compute_uv=False))
-        sigma = np.concatenate(shares)
+        L = _left(lvecs, rvecs, sign, cluster) / np.conj(overlaps[cluster])
+        sigma = np.linalg.svd(L.conj().T @ rvecs[:, cluster], compute_uv=False)
         if not sigma.max() < 1e8 * sigma.min():
-            defective.update(cluster.tolist())
-
-    return _Verdicts(evals, right_res, left_res, sorted(defective), defects,
-                     blocks, order, places, odd, signs, lvecs, rvecs, overlaps, kappas)
+            lost[cluster] = True
+    return (*part, lost, reports)
 
 
 def _complete(verdicts: _Verdicts) -> tuple:
     """The second stage of ``eigendecompose``: the n×n (R, L, κ) from the
     per-block arrays of ``verdicts``, each block's geev vectors (L None
-    where it is conj(J·R)), their overlaps <L_i|R_i> and κ_i. Each block's
-    L is formed and scaled on its own arrays, the blocks in turn; a geev L
-    is scaled in place, so ``verdicts`` can be completed only once. Its
-    columns outside the defective indices then become the dual basis of
-    R's, L·O⁻ᴴ for their overlap matrix O = Lᴴ·R, in one solve per block.
+    where it is conj(J·R)), their overlaps <L_i|R_i>, κ_i and defective
+    columns. Each block's L is formed and scaled on its own arrays, the
+    blocks in turn; a geev L is scaled in place, so ``verdicts`` can be
+    completed only once. Its columns outside the defective ones then
+    become the dual basis of R's, L·O⁻ᴴ for their overlap matrix
+    O = Lᴴ·R, in one solve per block, and κ of the vectors returned is
+    read off the block's arrays too: only ``_assemble`` makes n×n arrays.
 
     That solve biorthonormalizes each degenerate cluster, and on the
     right-only route it also clears the overlaps <L_j|R_i> of distinct
@@ -338,31 +354,29 @@ def _complete(verdicts: _Verdicts) -> tuple:
     (E_i − E_j)·<L_j|R_i> = <s_j|R_i> − <L_j|r_i> for the residuals s, r,
     which a two-sided ``geev`` cancels through the Schur form both sides
     share."""
-    blocks, order, (owner, column), odd = (verdicts.blocks, verdicts.order,
-                                           verdicts.places, verdicts.odd)
-    kept = np.ones(len(order), dtype=bool)
-    kept[verdicts.defective_indices] = False
-    lefts = []
-    for b, (L, R, s, overlap, k) in enumerate(zip(verdicts.lvecs, verdicts.rvecs,
-                                                  verdicts.signs, verdicts.overlaps,
-                                                  verdicts.kappas)):
+    lefts, conditions = [], []
+    for L, R, s, overlap, k, lost in zip(verdicts.lvecs, verdicts.rvecs, verdicts.signs,
+                                         verdicts.overlaps, verdicts.kappas, verdicts.lost):
         L = _left(L, R, s)
         scaled = ~(k > 1.0 / OVERLAP_FLOOR)
         L[:, scaled] /= np.conj(overlap[scaled])
-        cols = column[kept & (owner == b)]
+        cols = np.flatnonzero(~lost)
         # the rows of Lᴴ, conjugated in the copy that indexing makes
         Lh = L[:, cols].T
         O = np.conj(Lh, out=Lh) @ R[:, cols]
         L[:, cols] = np.linalg.solve(O, Lh).conj().T
         lefts.append(L)
-    lvecs, rvecs = _assemble(blocks, order, lefts), _assemble(blocks, order, verdicts.rvecs)
-    # κ of the vectors returned: on the kept columns, that of the dual
-    # basis, which R alone fixes, whichever route gave L. vecdot
-    # conjugates its first argument without an n×n copy
-    with np.errstate(divide="ignore", over="ignore"):
-        kappa = np.sqrt(np.vecdot(lvecs, lvecs, axis=0).real
-                        * np.vecdot(rvecs, rvecs, axis=0).real) / np.abs(
-            np.vecdot(lvecs, rvecs, axis=0))
+        # κ of the vectors returned: on the kept columns, that of the dual
+        # basis, which R alone fixes, whichever route gave L. vecdot
+        # conjugates its first argument without a copy
+        with np.errstate(divide="ignore", over="ignore"):
+            conditions.append(np.sqrt(np.vecdot(L, L, axis=0).real
+                                      * np.vecdot(R, R, axis=0).real)
+                              / np.abs(np.vecdot(L, R, axis=0)))
+    blocks, where, odd = verdicts.blocks, verdicts.where, verdicts.odd
+    kappa = np.empty(len(where))
+    kappa[where] = np.concatenate(conditions)
+    lvecs, rvecs = _assemble(blocks, where, lefts), _assemble(blocks, where, verdicts.rvecs)
     return _gauge(rvecs, odd), _gauge(lvecs, odd), kappa
 
 
@@ -373,8 +387,9 @@ def _left(L, R, sign, cols=slice(None)) -> np.ndarray:
 
 
 def _real_form(H) -> tuple:
-    """(A, odd, blocks, sign): A = D⁻¹·H·D for D = diag(i^odd), the
-    diagonal blocks of H (``_blocks``), and A's transposition signature
+    """(A, odd, blocks, sign): A = D⁻¹·H·D for D = diag(i^odd), the index
+    sets of H's diagonal blocks in order of their smallest index (the
+    labels of ``_pattern_walk``), and A's transposition signature
     block by block (``_pattern_walk``): Aᵀ = J·A·J on each block where
     J = diag(sign) is ±1, sign 0 on a block without one, or None if no
     block has one. A is real whenever some d in {1, i}ⁿ makes it so (odd
@@ -415,12 +430,6 @@ def _gauge(X, odd) -> np.ndarray:
     X = X.astype(complex, copy=False)
     X[odd] *= 1j
     return X
-
-
-def _blocks(A) -> list:
-    """Index sets of the diagonal blocks of A, in order of their smallest
-    index (the labels of ``_pattern_walk``)."""
-    return _split(_pattern_walk(np.asarray(A != 0, dtype=float))[2])
 
 
 def _pattern_walk(H) -> tuple:
@@ -565,31 +574,20 @@ def _ldexp(X, exponent: int) -> np.ndarray:
     return np.ldexp(X, exponent)
 
 
-def _assemble(blocks, order, vectors) -> np.ndarray:
-    """n×n array whose column p is column order[p] of the blocks'
+def _assemble(blocks, where, vectors) -> np.ndarray:
+    """n×n array whose column where[c] is column c of the blocks'
     ``vectors`` side by side, each block in its own rows and zero
     elsewhere."""
     if len(blocks) == 1:
-        # the one block is already sorted, so ``order`` is the identity
+        # the one block is already sorted, so ``where`` is the identity
         return vectors[0]
-    n = len(order)
-    where = np.empty(n, dtype=int)
-    where[order] = np.arange(n)
+    n = len(where)
     out = np.zeros((n, n), np.result_type(*vectors))
     start = 0
     for idx, block in zip(blocks, vectors):
         out[np.ix_(idx, where[start:start + len(idx)])] = block
         start += len(idx)
     return out
-
-
-def _places(blocks, order) -> tuple:
-    """(owner, column) of each sorted position p: the block that
-    ``_assemble`` takes column p from, and its column in that block."""
-    sizes = [len(idx) for idx in blocks]
-    starts = np.repeat(np.cumsum([0, *sizes[:-1]]), sizes)
-    return (np.repeat(np.arange(len(blocks)), sizes)[order],
-            (np.arange(len(order)) - starts)[order])
 
 
 def _matmul(A, X) -> np.ndarray:
@@ -814,27 +812,18 @@ class DefectReport:
         return self.geometric_multiplicity < self.algebraic_multiplicity
 
 
-def _cluster_defect(A, blocks, owners, E: complex, members, scale: float) -> DefectReport:
-    """Multiplicities around E of the cluster ``members``, whose indices
-    lie in ``blocks[b]`` for b in ``owners``, counted on the blocks of at
-    most DEFECT_SCAN_MAX_DIM among them: algebraic is the number of its
-    members there, geometric the sum of each block B's nullity
-    m − rank(B − E·I); both 0 if it has no member in such a block.
+def _cluster_defect(B, E: complex, members, scale: float) -> DefectReport:
+    """Multiplicities around E of the cluster ``members`` of a block B:
+    algebraic is the number of members, geometric the nullity
+    m − rank(B − E·I) for B of dimension m.
 
-    A singular value counts towards a rank above DEFECT_RANK_TOL·scale
-    (scale = max(||A||₂, 1)) and above twice the whole cluster's spread
+    A singular value counts towards the rank above DEFECT_RANK_TOL·scale
+    (scale = max(||B||₂, 1)) and above twice the cluster's spread
     max|E_i − E|: distinct eigenvalues of a normal block leave singular
     values no larger than the spread, while a Jordan block that rounding
     split by δ leaves one of order δ², far below it."""
     spread = float(np.max(np.abs(members - E), initial=0.0))
     floor = max(DEFECT_RANK_TOL * scale, 2 * spread)
-    algebraic = geometric = 0
-    for b, count in zip(*np.unique(owners, return_counts=True)):
-        m = len(blocks[b])
-        if m > DEFECT_SCAN_MAX_DIM:
-            continue
-        B = A if len(blocks) == 1 else A[np.ix_(blocks[b], blocks[b])]
-        sigma = np.linalg.svd(B - E * np.eye(m), compute_uv=False)
-        algebraic += int(count)
-        geometric += m - int(np.sum(sigma > floor))
-    return DefectReport(E, algebraic, geometric)
+    m = len(B)
+    sigma = np.linalg.svd(B - E * np.eye(m), compute_uv=False)
+    return DefectReport(E, len(members), m - int(np.sum(sigma > floor)))

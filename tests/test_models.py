@@ -17,7 +17,7 @@ from biortho.models import (
     pu_pt_operator,
     pu_spectrum_formula,
 )
-from biortho.spectral import _blocks, classify_spectrum, eigendecompose
+from biortho.spectral import _real_form, classify_spectrum, eigendecompose
 
 from oracles import faddeev_leverrier, match_distance, pu_fock_kron_reference
 
@@ -251,14 +251,14 @@ def test_pu_fock_splits_into_two_parity_sectors(params, n1, n2):
     # its own by eigendecompose
     H = pu_hamiltonian_fock(n1, n2, params)
     parity = np.diagonal(pu_pt_operator(n1, n2).linear_part).real
-    blocks = _blocks(H)
+    blocks = _real_form(np.asarray(H, dtype=complex))[2]
     assert [len(idx) for idx in blocks] == [n1 * n2 // 2] * 2
     assert [set(parity[idx]) for idx in blocks] == [{1.0}, {-1.0}]
 
 
 @pytest.mark.parametrize("realization", list(Realization))
 def test_cubic_fock_is_one_block(realization):
-    assert len(_blocks(cubic_hamiltonian(200, realization))) == 1
+    assert len(_real_form(np.asarray(cubic_hamiltonian(200, realization), dtype=complex))[2]) == 1
 
 
 def test_pu_fock_converges_to_formula():

@@ -38,7 +38,6 @@ from biortho.spectral import (
     DEFECT_CLUSTER_TOL,
     OVERLAP_FLOOR,
     SAFE_SCALE,
-    _blocks,
     _clusters,
     _concurrently,
     _factorize,
@@ -61,6 +60,11 @@ from oracles import (
 )
 
 DIMER_UNBROKEN = np.sqrt(0.75)  # ±sqrt(k² − g²) at k=1, g=0.5
+
+
+def block_sets(H) -> list:
+    """Index sets of H's diagonal blocks, as ``eigendecompose`` splits it."""
+    return _real_form(np.asarray(H, dtype=complex))[2]
 
 
 def test_diagonal_matrix():
@@ -442,27 +446,29 @@ def test_exceptional_point_beside_a_diagonal_is_defective(k):
 def test_many_exceptional_points_are_defective():
     system = eigendecompose(scipy.linalg.block_diag(*[PU_EP] * 100))
     assert len(system.defective_indices) == 400
+    # each exceptional point is a block of its own, with its own two reports
     assert [(d.algebraic_multiplicity, d.geometric_multiplicity)
-            for d in system.defects] == [(200, 100), (200, 100)]
+            for d in system.defects] == [(2, 1), (2, 1)] * 100
     # the CLI writes the counts with json
     json.dumps([[d.algebraic_multiplicity, d.geometric_multiplicity] for d in system.defects])
 
 
 def test_cluster_across_a_large_block_counts_the_small_one():
-    # ±i are eigenvalues of a dense 100×100 block too: each cluster spans
-    # both blocks, its rank test runs on the exceptional point's alone, and
-    # the whole cluster is defective
+    # ±i are simple eigenvalues of a dense 100×100 block too: a Jordan
+    # chain lies in one block, so each block's clusters are its own, and
+    # only the exceptional point's four indices are defective
     rng = np.random.default_rng(7)
     S = rng.standard_normal((100, 100))
     rotation = np.array([[0.0, -1.0], [1.0, 0.0]])
     dense = S @ scipy.linalg.block_diag(rotation, np.diag(np.linspace(2.0, 5.0, 98))) \
         @ np.linalg.inv(S)
     H = scipy.linalg.block_diag(PU_EP, dense)
-    assert [len(idx) for idx in _blocks(H)] == [4, 100]
+    assert [len(idx) for idx in block_sets(H)] == [4, 100]
     system = eigendecompose(H)
     assert [(d.algebraic_multiplicity, d.geometric_multiplicity)
             for d in system.defects] == [(2, 1), (2, 1)]
-    assert len(system.defective_indices) == 6
+    assert len(system.defective_indices) == 4
+    assert np.all(np.any(system.right_vectors[:4, system.defective_indices] != 0, axis=0))
     assert np.allclose(np.abs(system.eigenvalues[system.defective_indices].imag), 1.0)
 
 
@@ -470,6 +476,16 @@ def test_identity_of_many_blocks_is_diagonalizable():
     system = eigendecompose(np.eye(1000))
     assert system.is_diagonalizable
     assert system.defects == []
+
+
+def test_identity_of_many_blocks_runs_no_rank_test(monkeypatch):
+    # the eigenvalue 1 of a thousand 1×1 blocks: no block holds a cluster
+    calls = []
+    cluster_defect = spectral._cluster_defect
+    monkeypatch.setattr(spectral, "_cluster_defect",
+                        lambda *args: calls.append(None) or cluster_defect(*args))
+    eigendecompose(np.eye(1000))
+    assert calls == []
 
 
 @st.composite
@@ -489,29 +505,45 @@ def small_blocks(draw):
                                             allow_subnormal=False)))
 
 
+def _beside(B, d) -> tuple:
+    """B's eigenvalues, defective indices among its own and defects, as
+    ``eigendecompose`` gives them for B beside the diagonal ``d``; no
+    index of the diagonal is defective."""
+    system = eigendecompose(scipy.linalg.block_diag(B, np.diag(d)))
+    # each block's right vectors are zero outside its rows
+    own = np.flatnonzero(np.any(system.right_vectors[:len(B)] != 0, axis=0))
+    assert len(own) == len(B)
+    assert set(system.defective_indices) <= set(own.tolist())
+    return (system.eigenvalues[own].tobytes(),
+            np.searchsorted(own, system.defective_indices).tolist(), system.defects)
+
+
 @given(small_blocks())
+@example(PU_EP)
+@example(2.0 * np.eye(3) + np.eye(3, k=1))
 @settings(max_examples=40, deadline=None)
 def test_verdicts_on_a_block_ignore_a_distant_diagonal(B):
     # a real diagonal of 0 to 200 entries, none within 1e-3·s of B's
     # eigenvalues nor of each other and none beyond 0.9·s, for
-    # s = max(1, max|E_B|): neither the cluster radius nor the rank test's
-    # scale moves, and B's verdicts are its own
+    # s = max(1, max|E_B|), leaves B's verdicts its own; and since each
+    # block is judged on its own, so does a diagonal that holds B's own
+    # eigenvalues and entries up to 1e3·s
     try:
         alone = eigendecompose(B)
     except ConvergenceError:
         assume(False)
+    own = (alone.eigenvalues.tobytes(), alone.defective_indices, alone.defects)
     s = max(1.0, float(np.max(np.abs(alone.eigenvalues))))
     grid = 0.9 * s * np.linspace(-1.0, 1.0, 401)
     grid = grid[np.min(np.abs(grid[:, None] - alone.eigenvalues), axis=1) > 1e-3 * s]
     for k in (0, 60, 64, 68, 200):
-        d = grid[:k]
-        system = eigendecompose(scipy.linalg.block_diag(B, np.diag(d)))
-        own = np.flatnonzero(~np.isin(system.eigenvalues, d))
-        assert np.array_equal(system.eigenvalues[own], alone.eigenvalues)
-        assert set(system.defective_indices) <= set(own.tolist())
-        assert np.searchsorted(own, system.defective_indices).tolist() \
-            == alone.defective_indices
-        assert system.defects == alone.defects
+        assert _beside(B, grid[:k]) == own
+    # an imaginary diagonal entry makes H, and so B's block, complex: the
+    # reference is B on that route, beside one distant imaginary entry
+    reference = _beside(B, [1e3j * s]) if alone.eigenvalues.imag.any() else own
+    for d in (alone.eigenvalues, np.concatenate([alone.eigenvalues,
+                                                 1e3 * s * np.linspace(-1.0, 1.0, 5)])):
+        assert _beside(B, d) == reference
 
 
 @pytest.mark.parametrize("params", [PUParams(1.0, 1.0, 2.0),
@@ -519,7 +551,7 @@ def test_verdicts_on_a_block_ignore_a_distant_diagonal(B):
                          ids=lambda p: p.regime)
 def test_block_factorization_matches_full_geev(params):
     H = pu_hamiltonian_fock(12, 12, params)
-    assert len(_blocks(H)) == 2
+    assert len(block_sets(H)) == 2
     system = eigendecompose(H)
     evals, kappa = full_geev(H)
     # each eigenvalue within its own rounding disc κ_i·u·||H||₂
@@ -531,8 +563,8 @@ def test_block_factorization_matches_full_geev(params):
 
 
 def test_permuted_blocks_sharing_an_eigenvalue_are_biorthonormal():
-    # 3 is an eigenvalue of both blocks: the cluster spans two blocks, and
-    # its rank test and biorthogonalization run on each of them
+    # 3 is an eigenvalue of both blocks: each block is judged and
+    # biorthogonalized on its own
     rng = np.random.default_rng(43)
     S1 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     S2 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -540,7 +572,7 @@ def test_permuted_blocks_sharing_an_eigenvalue_are_biorthonormal():
                                 S2 @ np.diag([3.0, -1.0]) @ np.linalg.inv(S2))
     perm = rng.permutation(5)
     H = B[np.ix_(perm, perm)]
-    assert len(_blocks(H)) == 2
+    assert len(block_sets(H)) == 2
     system = eigendecompose(H)
     assert system.is_diagonalizable
     assert np.allclose(system.eigenvalues, [-1.0, 1.0, 2.0, 3.0, 3.0], atol=1e-12)
@@ -564,10 +596,10 @@ def sparsity_patterns(draw):
 @settings(max_examples=200, deadline=None)
 def test_blocks_match_scipy_connected_components(A):
     n_blocks, labels = connected_components(A != 0, directed=False)
-    blocks = _blocks(A)
+    blocks = block_sets(A)
     assert len(blocks) == n_blocks
     # a boolean pattern has the same blocks
-    assert [idx.tolist() for idx in _blocks(A != 0)] == [idx.tolist() for idx in blocks]
+    assert [idx.tolist() for idx in block_sets(A != 0)] == [idx.tolist() for idx in blocks]
     # every index once, ascending within a block, blocks by smallest index
     assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(len(A)))
     assert [idx[0] for idx in blocks] == sorted(idx[0] for idx in blocks)
@@ -640,7 +672,7 @@ def test_position_real_cubic_gauge_is_the_fock_parity():
 def test_matrix_without_real_gauge_stays_complex(H):
     A, odd, blocks, _ = _real_form(np.asarray(H, dtype=complex))
     assert np.iscomplexobj(A) and odd is None
-    assert [idx.tolist() for idx in blocks] == [idx.tolist() for idx in _blocks(H)]
+    assert len(blocks) == connected_components(np.asarray(H) != 0, directed=False)[0]
     system = eigendecompose(H)
     assert system.right_residual < 1e-12 * np.linalg.norm(H, 2)
 
@@ -718,7 +750,7 @@ def test_pattern_walk_finds_the_transposition_signature(H):
     # Hᵀ = J·H·J on that block; None only when no block has a J
     sign = _pattern_walk(H)[1]
     signed = []
-    for idx in _blocks(H):
+    for idx in block_sets(H):
         block = H[np.ix_(idx, idx)]
         J = np.zeros(len(idx)) if sign is None else sign[idx]
         assert np.all(np.abs(J) == 1) or not J.any()
@@ -754,7 +786,7 @@ def test_shuffled_gauge_real_blocks_hold_vectors_of_h():
     lambda: cubic_hamiltonian(200, Realization.POSITION_IMAGINARY),
 ], ids=["pu-20-20", "pu-40-40", "pu-16-16-pair", "cubic-200-position-real",
         "cubic-200-position-imaginary"])
-def test_norm_lower_bound_is_tight_on_the_model_blocks(build):
+def test_gate_scale_is_tight_on_the_model_blocks(build):
     # the gate's scale above DEFECT_SCAN_MAX_DIM, max(largest column norm,
     # max|E|): within 6% of ||A||₂ on every block eigendecompose factorizes
     # (0.945 on the PU 16,16 pair)
@@ -807,12 +839,14 @@ def test_overflowing_residual_fails_the_gate():
     # at 1e307 ||H||₂ is about 2e308: the power-of-two prescale keeps the
     # factorization finite, but the norm scaled back overflows to inf, which
     # fails the gate, and no RuntimeWarning escapes (1e200 factorizes: see
-    # the test below)
-    H = np.random.default_rng(0).standard_normal((100, 100)) * 1e307
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ConvergenceError):
-            eigendecompose(H)
+    # the test below). The 2×2 block of 1e308s has the eigenvalue 2e308,
+    # inf once scaled back: its block is not judged, and the gate fails
+    for H in (np.random.default_rng(0).standard_normal((100, 100)) * 1e307,
+              np.full((2, 2), 1e308)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError):
+                eigendecompose(H)
 
 
 @pytest.mark.parametrize("scale", [1e150, 1e200, 1e-300])
@@ -877,7 +911,7 @@ def test_signature_route_matches_the_two_sided_route(name, monkeypatch):
     # <L_i| = (J·R_i)ᵀ from a right-only geev, against the left side of a
     # two-sided geev of the same blocks
     H = SIGNATURE_CASES[name]
-    n_blocks = len(_blocks(H))
+    n_blocks = len(block_sets(H))
     routes = _geev_routes(monkeypatch)
     signed = eigendecompose(H)
     assert routes == ["right-only"] * n_blocks
@@ -994,7 +1028,7 @@ def test_each_block_keeps_its_own_signature(monkeypatch):
     one_sided = np.triu(rng.standard_normal((6, 6)), 1) + np.diag(np.arange(1.0, 7.0))
     H = scipy.linalg.block_diag(rng.choice([-1.0, 1.0], 40)[:, None] * (S + S.T),
                                 one_sided, rng.standard_normal((30, 30)))
-    blocks = _blocks(H)
+    blocks = block_sets(H)
     sign = _pattern_walk(H)[1]
     assert [len(idx) for idx in blocks] == [40, 6, 30]
     assert [bool(sign[idx].all()) for idx in blocks] == [True, False, False]
@@ -1059,7 +1093,7 @@ def test_eigendecompose_completes_once_before_it_returns(monkeypatch):
     assert len(calls) == 1
 
 
-def test_replace_copy_and_pickle_carry_the_deferred_fields():
+def test_replace_copy_and_pickle_carry_the_fields():
     H = VERDICT_STAGE_CASES["pu-12-12"]
     reference = eigendecompose(H)
     system = eigendecompose(H)
